@@ -12,6 +12,8 @@
 #include "noc/arbiter.hpp"
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
+#include "noc/router.hpp"
+#include "topo/fabric.hpp"
 #include "obs/trace.hpp"
 #include "workloads/tracegen.hpp"
 
@@ -21,20 +23,20 @@ using namespace arinoc;
 
 void BM_RoundRobinArbiter(benchmark::State& state) {
   RoundRobinArbiter arb(16);
-  std::vector<bool> req(16, true);
+  const std::uint64_t req = 0xffff;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(arb.pick(req));
+    benchmark::DoNotOptimize(arb.pick(&req));
   }
 }
 BENCHMARK(BM_RoundRobinArbiter);
 
 void BM_PriorityArbiter(benchmark::State& state) {
   PriorityArbiter arb(16);
-  std::vector<bool> req(16, true);
-  std::vector<std::uint32_t> key(16);
-  for (std::size_t i = 0; i < 16; ++i) key[i] = i % 2;
+  const std::uint64_t req = 0xffff;
+  std::uint32_t key[16];
+  for (std::uint32_t i = 0; i < 16; ++i) key[i] = i % 2;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(arb.pick(req, key));
+    benchmark::DoNotOptimize(arb.pick(&req, key));
   }
 }
 BENCHMARK(BM_PriorityArbiter);
@@ -111,6 +113,85 @@ void BM_NetworkStep(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_NetworkStep);
+
+/// One step of a saturated 5-port router (the centre of a 3x3 mesh, Ada-ARI
+/// router knobs): every input VC is kept full of 5-flit packets and every
+/// output drains at link rate. Nearly every VC holds an allocated output,
+/// so the step is dominated by switch allocation and traversal.
+void BM_RouterSwitchStage(benchmark::State& state) {
+  Mesh mesh(3, 3, 1);
+  const topo::Fabric fabric(&mesh);
+  PacketArena arena;
+  RouterParams rp;
+  rp.node = mesh.node_at(1, 1);
+  rp.routing = RoutingAlgo::kMinAdaptive;
+  rp.priority_levels = 4;
+  rp.injection_speedup = 2;
+  Router router(rp, &fabric, &arena);
+  for (int dir = 0; dir < kNumDirections; ++dir) {
+    router.connect_output(dir, rp.vc_depth_flits);
+  }
+  constexpr std::uint16_t kFlits = 5;
+  // Per input port (4 directions + injection) and VC: the packet being fed
+  // and its next flit.
+  struct Feed {
+    PacketId pkt = kInvalidPacket;
+    std::uint16_t seq = 0;
+  };
+  std::vector<Feed> feeds((kNumDirections + 1) * rp.num_vcs);
+  Xoshiro256 rng(4);
+  std::vector<OutboundFlit> flits;
+  std::vector<OutboundCredit> credits;
+  Cycle t = 0;
+  auto next_flit = [&](Feed& f) {
+    if (f.pkt == kInvalidPacket) {
+      const NodeId dst = static_cast<NodeId>(rng.next_below(mesh.nodes()));
+      f.pkt = arena.create(PacketType::kReadReply, 0, dst, kFlits, 3, 0, t);
+      f.seq = 0;
+    }
+    const Flit flit = PacketArena::flit_of(f.pkt, f.seq, kFlits);
+    if (++f.seq == kFlits) f.pkt = kInvalidPacket;
+    return flit;
+  };
+  auto refill = [&] {
+    for (int dir = 0; dir <= kNumDirections; ++dir) {
+      for (std::uint32_t vc = 0; vc < rp.num_vcs; ++vc) {
+        Feed& f = feeds[static_cast<std::size_t>(dir) * rp.num_vcs + vc];
+        if (dir == kNumDirections) {
+          while (router.injection_free(0, vc) > 0) {
+            router.inject_flit(0, vc, next_flit(f), t);
+          }
+        } else {
+          while (router.input_buffered(dir, static_cast<int>(vc)) <
+                 rp.vc_depth_flits) {
+            router.receive_flit(dir, static_cast<int>(vc), next_flit(f));
+          }
+        }
+      }
+    }
+  };
+  auto drain = [&] {
+    for (const OutboundFlit& of : flits) {
+      router.receive_credit(of.out_dir, of.out_vc);
+      if (of.flit.tail) arena.retire(of.flit.pkt);
+    }
+    while (router.has_ejected_flit()) {
+      const Flit f = router.pop_ejected_flit();
+      if (f.tail) arena.retire(f.pkt);
+    }
+  };
+  for (auto _ : state) {
+    refill();
+    flits.clear();
+    credits.clear();
+    router.step(t++, &flits, &credits);
+    drain();
+  }
+  state.counters["flits/step"] = benchmark::Counter(
+      static_cast<double>(router.crossbar_traversals()) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_RouterSwitchStage);
 
 /// Raw cost of one trace-ring write (the per-event price every hook pays
 /// when tracing is on).

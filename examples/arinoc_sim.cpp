@@ -1,147 +1,17 @@
 // arinoc_sim — the command-line simulator driver.
 //
-//   arinoc_sim [options]
-//     --benchmark <name>      synthetic workload (default: bfs)
-//     --replay <file>         trace-file workload (overrides --benchmark)
-//     --scheme <name>         XY-Baseline | XY-ARI | Ada-Baseline |
-//                             Ada-MultiPort | Ada-ARI | Acc-Supply |
-//                             Acc-Consume | Acc-Both-NoPriority |
-//                             Raw-Baseline          (default: Ada-ARI)
-//     --mesh <k>              k x k mesh             (default: 6)
-//     --topology <spec>       fabric: mesh | torus | cmesh[:c] |
-//                             chiplet[:CXxCY] | <topology file path>
-//                             (default: mesh; cmesh concentration c
-//                             defaults to 4, chiplet grid to 2x2 of
-//                             --mesh-sized meshes; a path loads a
-//                             file-driven fabric and sets --mcs from it)
-//     --serdes <n>            chiplet-boundary extra link latency (default 4)
-//     --emit-topology <path>  write the configured fabric as a topology
-//                             file and exit (no simulation)
-//     --mcs <n>               memory controllers     (default: 8)
-//     --vcs <n>               virtual channels       (default: 4)
-//     --cycles <n>            measured cycles        (default: 8000)
-//     --warmup <n>            warmup cycles          (default: 2000)
-//     --seed <n>              RNG seed               (default: 1)
-//     --da2mesh               use the DA2mesh overlay reply fabric
-//     --placement <p>         diamond | top-bottom | column
-//     --json                  machine-readable metrics on stdout
-//     --list-benchmarks       print the 30-benchmark suite and exit
-//
-//   Execution engine (synthetic benchmarks run through arinoc::exec):
-//     --jobs <n>              exec pool size (single runs need just 1)
-//     --no-cache              disable the on-disk result cache
-//     --cache-dir <dir>       result-cache directory (default:
-//                             $ARINOC_CACHE_DIR or .arinoc-cache)
-//   A cache hit replays the stored metrics byte-identically instead of
-//   re-simulating. Replay runs bypass the cache (the cache key covers
-//   named benchmarks, not trace file contents).
-//
-//   Observability (see docs/observability.md; all off by default):
-//     --trace                 record the packet-lifecycle event trace
-//     --trace-out <file>      Chrome trace-event JSON path (implies
-//                             --trace; default: arinoc-trace.json)
-//     --trace-capacity <n>    trace ring size in events (default: 65536)
-//     --sample-interval <n>   telemetry sample every n cycles (0 = off)
-//     --sample-out <file>     telemetry JSONL path (needs --sample-interval)
-//     --counters-out <file>   dump the counter registry as JSON after the
-//                             run
-//     --attr-out <file>       latency-attribution report JSON (per-stage
-//                             breakdown, top-k bottlenecks, congestion
-//                             series; see docs/observability.md)
-//     --attr-html <file>      self-contained HTML dashboard: fabric heatmap
-//                             with a time-window slider over the congestion
-//                             series (implies attribution)
-//     --attr-window <n>       congestion-series window in cycles (512)
-//     --self-profile <file>   per-epoch simulator self-profile JSONL:
-//                             subsystem wall-clock + activity wake rates
-//   Environment fallbacks: ARINOC_TRACE (any value), ARINOC_TRACE_OUT,
-//   ARINOC_SAMPLE_INTERVAL, ARINOC_SAMPLE_OUT. Observed runs execute the
-//   simulator directly (same per-cell seed derivation as the execution
-//   engine, so metrics match the unobserved path bit-for-bit) and bypass
-//   the result cache. Trace/telemetry files are written even when the
-//   watchdog trips — the cycles leading up to a deadlock are exactly the
-//   ones worth looking at.
-//
-//   Fault injection (reply network; all rates default to 0 = off):
-//     --fault-corrupt <p>     per-link/cycle transient corruption prob.
-//     --fault-stall <p>       per-link/cycle stall-window probability
-//     --fault-stall-len <n>   stall window length in cycles (default: 20)
-//     --fault-port-fail <p>   per-link/cycle permanent failure probability
-//     --fault-credit-loss <p> per-link/cycle credit-loss probability
-//     --fault-seed <n>        fault RNG stream seed    (default: 12345)
-//     --no-recovery           disable CRC drop + ACK/NACK retransmission
-//
-//   Simulation core:
-//     --no-activity           step every component every cycle instead of
-//                             only active ones (bit-identical results,
-//                             slower; see docs/performance.md)
-//     --threads <n>           network threads (spatial domain decomposition;
-//                             1 = serial, 0 = one per hardware core; results
-//                             are bit-identical across thread counts; n >
-//                             node count is a usage error; see
-//                             docs/performance.md). Env: ARINOC_THREADS.
-//     --domain-epoch          with --threads > 1: synchronize domains every
-//                             min-link-latency cycles instead of every cycle
-//                             (exact — delivery times are unchanged)
-//
-//   Watchdog (on by default):
-//     --no-watchdog           disable deadlock/livelock detection
-//     --watchdog-deadlock <K> no-movement window        (default: 5000)
-//     --watchdog-livelock <n> per-packet age ceiling    (default: 50000)
-//     --audit-interval <n>    credit-invariant audit period (default: off)
-//
-//   Open-loop serving + admission control (see docs/workloads.md,
-//   docs/noc.md; all off by default — off means bit-identical to previous
-//   releases):
-//     --pace <spec>           open-loop front end: pace spec or pace-file
-//                             path replaces the closed-loop cores
-//                             (constant:0.05, diurnal:..., burst:...,
-//                             flash:..., or a *.pace file)
-//     --load <x>              load factor scaling the pace profile (1.0)
-//     --admission             enable NI admission control + the
-//                             NORMAL/THROTTLED/SHEDDING degradation FSM
-//     --slo <cycles>          end-to-end p99 latency objective; a run that
-//                             finishes above it exits 6 (open-loop runs
-//                             check client e2e p99, closed-loop runs check
-//                             reply-network p99)
-//   Missing/unreadable trace or pace files are rejected up front with exit
-//   code 2, before any simulation state is built. File-paced open-loop runs
-//   bypass the result cache (the cache key covers the pace spec string, not
-//   pace-file contents).
-//
-//   Regression sentinel (see docs/observability.md):
-//     --baseline-write <dir>  anchor this cell: write its golden baseline
-//                             entry (deterministic JSON keyed by benchmark/
-//                             scheme/fabric/config-hash) under <dir>
-//     --baseline-check <dir>  compare this run against the anchored entry;
-//                             out-of-tolerance metric movement exits 7 with
-//                             a per-metric delta report on stderr
-//     --ignore-improvements   with --baseline-check: out-of-tolerance moves
-//                             in the good direction (IPC up, latency down)
-//                             do not fail
-//   Replay runs reject both baseline flags (exit 2): the canonical-config
-//   hash keying the store covers named benchmarks, not trace-file contents.
-//   --json output carries an "arinoc-provenance-v1" block (version, config
-//   hash, cell coordinates, host, wall time) alongside the metrics.
-//
-//   Every output path (--trace-out, --sample-out, --counters-out,
-//   --attr-out, --attr-html, --self-profile, --baseline-*) is checked up
-//   front: a parent directory that does not exist is a usage error (exit 2,
-//   clear message) before any simulation state is built.
-//
-//   Exit codes: 0 ok, 1 runtime error, 2 usage/config error,
-//               3 deadlock detected, 4 livelock detected,
-//               5 invariant violation detected, 6 SLO violated,
-//               7 regression detected (--baseline-check).
+// Usage: see kUsage below (`arinoc_sim --help` prints it).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "common/numparse.hpp"
 #include "core/experiment.hpp"
 #include "core/watchdog.hpp"
 #include "core/report.hpp"
@@ -163,6 +33,172 @@
 using namespace arinoc;
 
 namespace {
+
+constexpr const char kUsage[] = R"(usage:
+  arinoc_sim [options]
+    --benchmark <name>      synthetic workload (default: bfs)
+    --replay <file>         trace-file workload (overrides --benchmark)
+    --scheme <name>         XY-Baseline | XY-ARI | Ada-Baseline |
+                            Ada-MultiPort | Ada-ARI | Acc-Supply |
+                            Acc-Consume | Acc-Both-NoPriority |
+                            Raw-Baseline          (default: Ada-ARI)
+    --mesh <k>              k x k mesh             (default: 6)
+    --topology <spec>       fabric: mesh | torus | cmesh[:c] |
+                            chiplet[:CXxCY] | <topology file path>
+                            (default: mesh; cmesh concentration c
+                            defaults to 4, chiplet grid to 2x2 of
+                            --mesh-sized meshes; a path loads a
+                            file-driven fabric and sets --mcs from it)
+    --serdes <n>            chiplet-boundary extra link latency (default 4)
+    --emit-topology <path>  write the configured fabric as a topology
+                            file and exit (no simulation)
+    --mcs <n>               memory controllers     (default: 8)
+    --vcs <n>               virtual channels       (default: 4)
+    --cycles <n>            measured cycles        (default: 8000)
+    --warmup <n>            warmup cycles          (default: 2000)
+    --seed <n>              RNG seed               (default: 1)
+    --da2mesh               use the DA2mesh overlay reply fabric
+    --placement <p>         diamond | top-bottom | column
+    --json                  machine-readable metrics on stdout
+    --list-benchmarks       print the 30-benchmark suite and exit
+    --help                  print this text and exit
+
+  Execution engine (synthetic benchmarks run through arinoc::exec):
+    --jobs <n>              exec pool size (single runs need just 1)
+    --no-cache              disable the on-disk result cache
+    --cache-dir <dir>       result-cache directory (default:
+                            $ARINOC_CACHE_DIR or .arinoc-cache)
+  A cache hit replays the stored metrics byte-identically instead of
+  re-simulating. Replay runs bypass the cache (the cache key covers
+  named benchmarks, not trace file contents).
+
+  Observability (see docs/observability.md; all off by default):
+    --trace                 record the packet-lifecycle event trace
+    --trace-out <file>      Chrome trace-event JSON path (implies
+                            --trace; default: arinoc-trace.json)
+    --trace-capacity <n>    trace ring size in events (default: 65536)
+    --sample-interval <n>   telemetry sample every n cycles (0 = off)
+    --sample-out <file>     telemetry JSONL path (needs --sample-interval)
+    --counters-out <file>   dump the counter registry as JSON after the
+                            run
+    --attr-out <file>       latency-attribution report JSON (per-stage
+                            breakdown, top-k bottlenecks, congestion
+                            series; see docs/observability.md)
+    --attr-html <file>      self-contained HTML dashboard: fabric heatmap
+                            with a time-window slider over the congestion
+                            series (implies attribution)
+    --attr-window <n>       congestion-series window in cycles (512)
+    --self-profile <file>   per-epoch simulator self-profile JSONL:
+                            subsystem wall-clock + activity wake rates
+  Environment fallbacks: ARINOC_TRACE (any value), ARINOC_TRACE_OUT,
+  ARINOC_SAMPLE_INTERVAL, ARINOC_SAMPLE_OUT. Observed runs execute the
+  simulator directly (same per-cell seed derivation as the execution
+  engine, so metrics match the unobserved path bit-for-bit) and bypass
+  the result cache. Trace/telemetry files are written even when the
+  watchdog trips — the cycles leading up to a deadlock are exactly the
+  ones worth looking at.
+
+  Fault injection (reply network; all rates default to 0 = off):
+    --fault-corrupt <p>     per-link/cycle transient corruption prob.
+    --fault-stall <p>       per-link/cycle stall-window probability
+    --fault-stall-len <n>   stall window length in cycles (default: 20)
+    --fault-port-fail <p>   per-link/cycle permanent failure probability
+    --fault-credit-loss <p> per-link/cycle credit-loss probability
+    --fault-seed <n>        fault RNG stream seed    (default: 12345)
+    --no-recovery           disable CRC drop + ACK/NACK retransmission
+
+  Simulation core:
+    --no-activity           step every component every cycle instead of
+                            only active ones (bit-identical results,
+                            slower; see docs/performance.md)
+    --threads <n>           network threads (spatial domain decomposition;
+                            1 = serial, 0 = one per hardware core; results
+                            are bit-identical across thread counts; n >
+                            node count is a usage error; see
+                            docs/performance.md). Env: ARINOC_THREADS.
+    --domain-epoch          with --threads > 1: synchronize domains every
+                            min-link-latency cycles instead of every cycle
+                            (exact — delivery times are unchanged)
+
+  Watchdog (on by default):
+    --no-watchdog           disable deadlock/livelock detection
+    --watchdog-deadlock <K> no-movement window        (default: 5000)
+    --watchdog-livelock <n> per-packet age ceiling    (default: 50000)
+    --audit-interval <n>    credit-invariant audit period (default: off)
+
+  Open-loop serving + admission control (see docs/workloads.md,
+  docs/noc.md; all off by default — off means bit-identical to previous
+  releases):
+    --pace <spec>           open-loop front end: pace spec or pace-file
+                            path replaces the closed-loop cores
+                            (constant:0.05, diurnal:..., burst:...,
+                            flash:..., or a *.pace file)
+    --load <x>              load factor scaling the pace profile (1.0)
+    --admission             enable NI admission control + the
+                            NORMAL/THROTTLED/SHEDDING degradation FSM
+    --slo <cycles>          end-to-end p99 latency objective; a run that
+                            finishes above it exits 6 (open-loop runs
+                            check client e2e p99, closed-loop runs check
+                            reply-network p99)
+  Missing/unreadable trace or pace files are rejected up front with exit
+  code 2, before any simulation state is built. File-paced open-loop runs
+  bypass the result cache (the cache key covers the pace spec string, not
+  pace-file contents).
+
+  Regression sentinel (see docs/observability.md):
+    --baseline-write <dir>  anchor this cell: write its golden baseline
+                            entry (deterministic JSON keyed by benchmark/
+                            scheme/fabric/config-hash) under <dir>
+    --baseline-check <dir>  compare this run against the anchored entry;
+                            out-of-tolerance metric movement exits 7 with
+                            a per-metric delta report on stderr
+    --ignore-improvements   with --baseline-check: out-of-tolerance moves
+                            in the good direction (IPC up, latency down)
+                            do not fail
+  Replay runs reject both baseline flags (exit 2): the canonical-config
+  hash keying the store covers named benchmarks, not trace-file contents.
+  --json output carries an "arinoc-provenance-v1" block (version, config
+  hash, cell coordinates, host, wall time) alongside the metrics.
+
+  Every output path (--trace-out, --sample-out, --counters-out,
+  --attr-out, --attr-html, --self-profile, --baseline-*) is checked up
+  front: a parent directory that does not exist is a usage error (exit 2,
+  clear message) before any simulation state is built.
+
+  Numeric values are plain decimal numbers: a sign, trailing characters,
+  an out-of-range count or a non-finite rate is a usage error (exit 2).
+
+  Exit codes: 0 ok, 1 runtime error, 2 usage/config error,
+              3 deadlock detected, 4 livelock detected,
+              5 invariant violation detected, 6 SLO violated,
+              7 regression detected (--baseline-check).
+)";
+
+/// Checked numeric flag values: anything but a plain in-range decimal
+/// number is a usage error (exit 2) naming the flag and the bad character.
+[[noreturn]] void bad_number(const std::string& flag, const char* text,
+                             const std::string& why) {
+  std::fprintf(stderr, "error: %s '%s': %s\n", flag.c_str(), text,
+               why.c_str());
+  std::exit(2);
+}
+
+std::uint64_t count_flag(const std::string& flag, const char* text,
+                         std::uint64_t max = UINT64_MAX) {
+  std::string why;
+  if (const auto v = parse_uint(text, max, &why)) return *v;
+  bad_number(flag, text, why);
+}
+
+std::uint32_t count32_flag(const std::string& flag, const char* text) {
+  return static_cast<std::uint32_t>(count_flag(flag, text, UINT32_MAX));
+}
+
+double real_flag(const std::string& flag, const char* text) {
+  std::string why;
+  if (const auto v = parse_real(text, &why)) return *v;
+  bad_number(flag, text, why);
+}
 
 std::optional<Scheme> parse_scheme(const std::string& name) {
   for (Scheme s :
@@ -267,13 +303,16 @@ bool apply_topology_spec(const std::string& spec, Config& cfg) {
     cfg.fabric = spec;
     return true;
   }
+  // Generator parameters are positive counts (checked like numeric flags).
+  auto positive = [](std::string_view text) -> std::uint32_t {
+    std::string why;
+    return parse_uint(text, UINT32_MAX, &why).value_or(0);
+  };
   if (spec == "cmesh" || spec.rfind("cmesh:", 0) == 0) {
     cfg.fabric = "cmesh";
     if (spec.size() > 6) {
-      char* end = nullptr;
-      cfg.cmesh_concentration = static_cast<std::uint32_t>(
-          std::strtoul(spec.c_str() + 6, &end, 10));
-      if (end == nullptr || *end != '\0' || cfg.cmesh_concentration == 0) {
+      cfg.cmesh_concentration = positive(std::string_view(spec).substr(6));
+      if (cfg.cmesh_concentration == 0) {
         std::fprintf(stderr, "malformed cmesh spec '%s' (want cmesh[:c])\n",
                      spec.c_str());
         return false;
@@ -284,20 +323,12 @@ bool apply_topology_spec(const std::string& spec, Config& cfg) {
   if (spec == "chiplet" || spec.rfind("chiplet:", 0) == 0) {
     cfg.fabric = "chiplet";
     if (spec.size() > 8) {
-      char* end = nullptr;
-      cfg.chiplets_x = static_cast<std::uint32_t>(
-          std::strtoul(spec.c_str() + 8, &end, 10));
-      if (end == nullptr || *end != 'x') {
-        std::fprintf(stderr,
-                     "malformed chiplet spec '%s' (want chiplet[:CXxCY])\n",
-                     spec.c_str());
-        return false;
-      }
-      char* end2 = nullptr;
-      cfg.chiplets_y = static_cast<std::uint32_t>(
-          std::strtoul(end + 1, &end2, 10));
-      if (end2 == nullptr || *end2 != '\0' || cfg.chiplets_x == 0 ||
-          cfg.chiplets_y == 0) {
+      const std::string_view dims = std::string_view(spec).substr(8);
+      const std::size_t x = dims.find('x');
+      cfg.chiplets_x = positive(dims.substr(0, x));
+      cfg.chiplets_y =
+          x == std::string_view::npos ? 0 : positive(dims.substr(x + 1));
+      if (cfg.chiplets_x == 0 || cfg.chiplets_y == 0) {
         std::fprintf(stderr,
                      "malformed chiplet spec '%s' (want chiplet[:CXxCY])\n",
                      spec.c_str());
@@ -454,7 +485,7 @@ int main(int argc, char** argv) {
       obs.trace = true;
       obs.trace_out = value();
     } else if (arg == "--trace-capacity") {
-      obs.trace_capacity = std::strtoull(value(), nullptr, 10);
+      obs.trace_capacity = count_flag(arg, value());
     } else if (arg == "--sample-out") {
       obs.sample_out = value();
     } else if (arg == "--counters-out") {
@@ -464,7 +495,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--attr-html") {
       obs.attr_html = value();
     } else if (arg == "--attr-window") {
-      obs.attr_window = std::strtoull(value(), nullptr, 10);
+      obs.attr_window = count_flag(arg, value());
       if (obs.attr_window == 0) {
         std::fprintf(stderr, "--attr-window requires a positive cycle count\n");
         return 2;
@@ -480,51 +511,46 @@ int main(int argc, char** argv) {
       }
       scheme = *s;
     } else if (arg == "--mesh") {
-      cfg.mesh_width = cfg.mesh_height =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      cfg.mesh_width = cfg.mesh_height = count32_flag(arg, value());
     } else if (arg == "--topology") {
       if (!apply_topology_spec(value(), cfg)) return 2;
     } else if (arg == "--serdes") {
-      cfg.serdes_latency =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      cfg.serdes_latency = count32_flag(arg, value());
     } else if (arg == "--emit-topology") {
       emit_topology_path = value();
     } else if (arg == "--mcs") {
-      cfg.num_mcs =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      cfg.num_mcs = count32_flag(arg, value());
     } else if (arg == "--vcs") {
-      cfg.num_vcs =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      cfg.num_vcs = count32_flag(arg, value());
     } else if (arg == "--cycles") {
-      cfg.run_cycles = std::strtoull(value(), nullptr, 10);
+      cfg.run_cycles = count_flag(arg, value());
     } else if (arg == "--warmup") {
-      cfg.warmup_cycles = std::strtoull(value(), nullptr, 10);
+      cfg.warmup_cycles = count_flag(arg, value());
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(value(), nullptr, 10);
+      cfg.seed = count_flag(arg, value());
     } else if (arg == "--fault-corrupt") {
-      cfg.fault_corrupt_rate = std::strtod(value(), nullptr);
+      cfg.fault_corrupt_rate = real_flag(arg, value());
     } else if (arg == "--fault-stall") {
-      cfg.fault_link_stall_rate = std::strtod(value(), nullptr);
+      cfg.fault_link_stall_rate = real_flag(arg, value());
     } else if (arg == "--fault-stall-len") {
-      cfg.fault_link_stall_len =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      cfg.fault_link_stall_len = count32_flag(arg, value());
     } else if (arg == "--fault-port-fail") {
-      cfg.fault_port_fail_rate = std::strtod(value(), nullptr);
+      cfg.fault_port_fail_rate = real_flag(arg, value());
     } else if (arg == "--fault-credit-loss") {
-      cfg.fault_credit_loss_rate = std::strtod(value(), nullptr);
+      cfg.fault_credit_loss_rate = real_flag(arg, value());
     } else if (arg == "--fault-seed") {
-      cfg.fault_seed = std::strtoull(value(), nullptr, 10);
+      cfg.fault_seed = count_flag(arg, value());
     } else if (arg == "--no-recovery") {
       cfg.fault_recovery = false;
     } else if (arg == "--pace") {
       cfg.open_loop = true;
       cfg.pace_spec = value();
     } else if (arg == "--load") {
-      cfg.pace_scale = std::strtod(value(), nullptr);
+      cfg.pace_scale = real_flag(arg, value());
     } else if (arg == "--admission") {
       cfg.admission_enabled = true;
     } else if (arg == "--slo") {
-      slo_cycles = std::strtod(value(), nullptr);
+      slo_cycles = real_flag(arg, value());
       if (slo_cycles <= 0.0) {
         std::fprintf(stderr, "--slo requires a positive cycle count\n");
         return 2;
@@ -536,11 +562,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-watchdog") {
       cfg.watchdog_enabled = false;
     } else if (arg == "--watchdog-deadlock") {
-      cfg.watchdog_deadlock_window = std::strtoull(value(), nullptr, 10);
+      cfg.watchdog_deadlock_window = count_flag(arg, value());
     } else if (arg == "--watchdog-livelock") {
-      cfg.watchdog_livelock_age = std::strtoull(value(), nullptr, 10);
+      cfg.watchdog_livelock_age = count_flag(arg, value());
     } else if (arg == "--audit-interval") {
-      cfg.watchdog_audit_interval = std::strtoull(value(), nullptr, 10);
+      cfg.watchdog_audit_interval = count_flag(arg, value());
     } else if (arg == "--da2mesh") {
       da2mesh = true;
     } else if (arg == "--placement") {
@@ -563,6 +589,9 @@ int main(int argc, char** argv) {
       ignore_improvements = true;
     } else if (arg == "--json") {
       json = true;
+    } else if (arg == "--help" || arg == "-h") {
+      std::printf("%s", kUsage);
+      return 0;
     } else if (arg == "--list-benchmarks") {
       for (const auto& b : benchmark_suite()) {
         std::printf("%-16s %s\n", b.name.c_str(),

@@ -388,43 +388,21 @@ void GpgpuSim::step() {
   // Open-loop clients are paced by the arrival schedule, not system state:
   // they step every cycle in both stepping modes (cores_ is empty here).
   for (auto& cl : clients_) cl->cycle(now);
+  const std::size_t inject_nis =
+      request_inject_.size() + (overlay_ ? 0 : reply_inject_.size());
+  const std::size_t eject_nis = request_eject_.size() + reply_eject_.size();
   if (prof_) {
     prof_->end(obs::ProfPhase::kFrontend);
-    // Components that will be stepped this cycle vs the always-on capacity
-    // (in always-on mode every component steps).
-    const std::uint64_t routers_total =
-        static_cast<std::uint64_t>(fabric_.nodes()) * (overlay_ ? 1 : 2);
-    if (activity_) {
-      prof_->record_wakes(obs::ProfGroup::kCores, core_act_.pending(),
-                          cores_.size());
-      prof_->record_wakes(obs::ProfGroup::kMcs, mc_act_.pending(),
-                          mcs_.size());
-      prof_->record_wakes(
-          obs::ProfGroup::kInjectNis,
-          req_inj_act_.pending() + (overlay_ ? 0 : rep_inj_act_.pending()),
-          request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()));
-      prof_->record_wakes(
-          obs::ProfGroup::kEjectNis,
-          req_ej_act_.pending() + rep_ej_act_.pending(),
-          request_eject_.size() + reply_eject_.size());
-      prof_->record_wakes(
-          obs::ProfGroup::kRouters,
-          request_net_->routers_pending() +
-              (overlay_ ? 0 : reply_net_->routers_pending()),
-          routers_total);
-    } else {
+    // Components stepped this cycle vs the always-on capacity. Always-on
+    // mode steps every component; activity mode samples each group right
+    // before its own phase drains (below), so wakes issued by earlier phases
+    // of the same cycle are counted.
+    if (!activity_) {
       prof_->record_wakes(obs::ProfGroup::kCores, cores_.size(),
                           cores_.size());
       prof_->record_wakes(obs::ProfGroup::kMcs, mcs_.size(), mcs_.size());
-      prof_->record_wakes(
-          obs::ProfGroup::kInjectNis,
-          request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()),
-          request_inject_.size() + (overlay_ ? 0 : reply_inject_.size()));
-      prof_->record_wakes(obs::ProfGroup::kEjectNis,
-                          request_eject_.size() + reply_eject_.size(),
-                          request_eject_.size() + reply_eject_.size());
-      prof_->record_wakes(obs::ProfGroup::kRouters, routers_total,
-                          routers_total);
+      prof_->record_wakes(obs::ProfGroup::kInjectNis, inject_nis, inject_nis);
+      prof_->record_wakes(obs::ProfGroup::kEjectNis, eject_nis, eject_nis);
     }
   }
   if (activity_) {
@@ -435,13 +413,19 @@ void GpgpuSim::step() {
     // sleep predicate fails after stepping; external wake edges (deliver,
     // finish_accept, ejection-buffer push) cover everything else.
     // 1) Cores generate and emit traffic (into request NIs via their ports).
-    if (prof_) prof_->begin(obs::ProfPhase::kCores);
+    if (prof_) {
+      prof_->record_wakes(obs::ProfGroup::kCores, core_act_.pending(),
+                          cores_.size());
+      prof_->begin(obs::ProfPhase::kCores);
+    }
     core_act_.drain_sorted([&](std::size_t i) {
       cores_[i]->cycle(now);
       if (!cores_[i]->can_sleep()) core_act_.wake(i);
     });
     if (prof_) {
       prof_->end(obs::ProfPhase::kCores);
+      prof_->record_wakes(obs::ProfGroup::kMcs, mc_act_.pending(),
+                          mcs_.size());
       prof_->begin(obs::ProfPhase::kMcs);
     }
     // 2) MCs service requests, tick DRAM, forward replies into reply NIs.
@@ -451,6 +435,10 @@ void GpgpuSim::step() {
     });
     if (prof_) {
       prof_->end(obs::ProfPhase::kMcs);
+      prof_->record_wakes(
+          obs::ProfGroup::kInjectNis,
+          req_inj_act_.pending() + (overlay_ ? 0 : rep_inj_act_.pending()),
+          inject_nis);
       prof_->begin(obs::ProfPhase::kInjectNi);
     }
     // 3) Injection NIs move flits into the routers. Accepts from phases 1-2
@@ -493,6 +481,10 @@ void GpgpuSim::step() {
     }
     if (prof_) {
       prof_->end(obs::ProfPhase::kNetworks);
+      record_router_wakes();
+      prof_->record_wakes(obs::ProfGroup::kEjectNis,
+                          req_ej_act_.pending() + rep_ej_act_.pending(),
+                          eject_nis);
       prof_->begin(obs::ProfPhase::kEjectNi);
     }
     // 5) Ejection NIs drain router ejection buffers into the sinks. The
@@ -539,6 +531,7 @@ void GpgpuSim::step() {
     step_networks(now);
     if (prof_) {
       prof_->end(obs::ProfPhase::kNetworks);
+      record_router_wakes();
       prof_->begin(obs::ProfPhase::kEjectNi);
     }
     // 5) Ejection NIs drain router ejection buffers into the sinks.
@@ -607,6 +600,15 @@ void GpgpuSim::step() {
     prof_->end(obs::ProfPhase::kWatchdog);
     prof_->on_cycle_end(now);
   }
+}
+
+void GpgpuSim::record_router_wakes() {
+  // The overlay reply fabric has no routers; it is outside the group.
+  std::size_t stepped = request_net_->routers_stepped();
+  if (!overlay_) stepped += reply_net_->routers_stepped();
+  prof_->record_wakes(obs::ProfGroup::kRouters, stepped,
+                      static_cast<std::size_t>(fabric_.nodes()) *
+                          (overlay_ ? 1 : 2));
 }
 
 void GpgpuSim::step_networks(Cycle now) {

@@ -231,6 +231,8 @@ class GpgpuSim {
   /// across spatial domains when the thread team is active and no
   /// per-event observer (tracer/attributor) forces the serial path.
   void step_networks(Cycle now);
+  /// Self-profiler: routers stepped by the network phase just finished.
+  void record_router_wakes();
 
   Config cfg_;
   BenchmarkTraits traits_;

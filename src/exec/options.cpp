@@ -1,9 +1,12 @@
 #include "exec/options.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+
+#include "common/numparse.hpp"
 
 #ifdef _WIN32
 #include <io.h>
@@ -38,8 +41,27 @@ ExecOptions options_from_env(bool default_cache) {
   return opts;
 }
 
+namespace {
+
+/// Checked count flag (see common/numparse.hpp): prints a located message
+/// and returns false on a malformed value.
+bool count_value(const char* flag, const char* text, std::uint64_t max,
+                 std::uint64_t* out) {
+  std::string why;
+  const auto v = parse_uint(text, max, &why);
+  if (!v) {
+    std::fprintf(stderr, "error: %s '%s': %s\n", flag, text, why.c_str());
+    return false;
+  }
+  *out = *v;
+  return true;
+}
+
+}  // namespace
+
 bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts) {
   int out = 1;
+  std::uint64_t n = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto value = [&](const char* flag) -> const char* {
@@ -51,21 +73,13 @@ bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts) {
     };
     if (std::strcmp(arg, "--jobs") == 0) {
       const char* v = value("--jobs");
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--jobs expects a number, got '%s'\n", v);
+      if (v == nullptr || !count_value("--jobs", v, UINT32_MAX, &n)) {
         return false;
       }
       opts.jobs = static_cast<unsigned>(n);
     } else if (std::strcmp(arg, "--threads") == 0) {
       const char* v = value("--threads");
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--threads expects a number, got '%s'\n", v);
+      if (v == nullptr || !count_value("--threads", v, UINT32_MAX, &n)) {
         return false;
       }
       opts.threads = static_cast<unsigned>(n);
@@ -78,12 +92,8 @@ bool parse_exec_flags(int& argc, char** argv, ExecOptions& opts) {
       opts.cache_enabled = true;
     } else if (std::strcmp(arg, "--sample-interval") == 0) {
       const char* v = value("--sample-interval");
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--sample-interval expects a number, got '%s'\n",
-                     v);
+      if (v == nullptr ||
+          !count_value("--sample-interval", v, UINT64_MAX, &n)) {
         return false;
       }
       opts.sample_interval = static_cast<Cycle>(n);

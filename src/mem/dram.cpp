@@ -8,6 +8,13 @@ namespace arinoc {
 GddrDram::GddrDram(std::uint32_t num_banks, const DramTimings& timings,
                    std::uint32_t queue_capacity)
     : banks_(num_banks), t_(timings), queue_capacity_(queue_capacity) {
+  // Size the per-request buffers once for the working set (a full queue
+  // plus one access per bank in flight), so steady-state ticks and drains
+  // do not allocate. A larger transient still works: the vectors grow.
+  queue_.reserve(queue_capacity);
+  in_service_.reserve(queue_capacity + num_banks);
+  completed_.reserve(queue_capacity + num_banks);
+  drained_.reserve(queue_capacity + num_banks);
   // Start the internal clock beyond every timing horizon so the zero-valued
   // per-bank timestamps read as "long in the past" (no cold-start stall).
   now_ = t_.t_rc + t_.t_ras + t_.t_rp + t_.t_rrd;
@@ -98,24 +105,22 @@ void GddrDram::tick(bool output_blocked) {
     }
     return false;
   };
+  // Within tRRD of the channel's last activate no row miss can issue, so
+  // the oldest issuable request is the oldest issuable row hit: the hit
+  // scan alone decides, in both the normal and the starving order.
+  const bool act_possible = last_act_any_ + t_.t_rrd <= now_;
   // Anti-starvation: once the oldest request has aged past the cap, stop
   // letting younger row hits bypass it (strict oldest-first until it goes).
   const bool starving =
       t_.starvation_cap > 0 &&
       now_ - queue_.front().enqueued > t_.starvation_cap;
   if (starving) {
-    try_pick(/*hits_only=*/false);
+    try_pick(/*hits_only=*/!act_possible);
     return;
   }
-  if (!try_pick(/*hits_only=*/true)) {
+  if (!try_pick(/*hits_only=*/true) && act_possible) {
     try_pick(/*hits_only=*/false);
   }
-}
-
-std::vector<DramCompletion> GddrDram::drain_completed() {
-  std::vector<DramCompletion> out;
-  out.swap(completed_);
-  return out;
 }
 
 }  // namespace arinoc

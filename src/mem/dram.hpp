@@ -9,7 +9,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/types.hpp"
@@ -57,8 +56,15 @@ class GddrDram {
   /// issued (the MC reply stage is full) but writes still drain.
   void tick(bool output_blocked);
 
-  /// Completions since the last drain (in completion order).
-  std::vector<DramCompletion> drain_completed();
+  /// Completions since the last drain (in completion order). The returned
+  /// buffer is owned by the DRAM and stays valid until the next drain; both
+  /// completion buffers keep their capacity, so steady-state draining never
+  /// allocates.
+  const std::vector<DramCompletion>& drain_completed() {
+    drained_.swap(completed_);
+    completed_.clear();
+    return drained_;
+  }
 
   /// True when tick() would only advance the clock: nothing queued, nothing
   /// in service, nothing awaiting drain. The activity layer may then skip
@@ -107,7 +113,8 @@ class GddrDram {
   std::vector<Bank> banks_;
   DramTimings t_;
   std::uint32_t queue_capacity_;
-  std::deque<DramRequest> queue_;
+  /// Pending requests in arrival order; reserved to queue_capacity_ once.
+  std::vector<DramRequest> queue_;
   std::uint64_t now_ = 0;           ///< Memory-domain cycle.
   std::uint64_t bus_free_at_ = 0;
   std::uint64_t last_act_any_ = 0;
@@ -119,6 +126,7 @@ class GddrDram {
   };
   std::vector<Pending> in_service_;
   std::vector<DramCompletion> completed_;
+  std::vector<DramCompletion> drained_;  ///< Last drain_completed() result.
 
   std::uint64_t activates_ = 0;
   std::uint64_t row_hits_ = 0;

@@ -41,7 +41,6 @@ Network::Network(const NetworkParams& params, const topo::Fabric* fabric)
       if (nb == kInvalidNode) continue;
       routers_[static_cast<std::size_t>(n)]->connect_output(
           port, params.vc_depth_flits);
-      routers_[static_cast<std::size_t>(n)]->connect_input(port);
       ++num_internal_links_;
     }
   }
@@ -50,6 +49,16 @@ Network::Network(const NetworkParams& params, const topo::Fabric* fabric)
   const std::size_t slots = base_link_latency_ + fabric->max_extra_latency();
   flit_ring_.resize(slots);
   credit_ring_.resize(slots);
+  // Size the per-cycle buffers once. Every link has a fixed latency and
+  // carries at most one flit and one credit per cycle, so a ring slot never
+  // holds more events than there are links; a router step emits at most one
+  // flit per direction output and one credit per direction input.
+  for (std::size_t s = 0; s < slots; ++s) {
+    flit_ring_[s].reserve(num_internal_links_);
+    credit_ring_[s].reserve(num_internal_links_);
+  }
+  scratch_flits_.reserve(static_cast<std::size_t>(ports));
+  scratch_credits_.reserve(static_cast<std::size_t>(ports));
 
   if (params.activity_driven) {
     router_act_.resize(static_cast<std::size_t>(nodes));
@@ -366,6 +375,7 @@ void Network::step_domain(std::uint32_t d, Cycle now) {
 
   const std::size_t send_slot = ring_pos_;
   if (params_.activity_driven) {
+    dom.stepped = dom.act.pending();
     dom.act.drain_sorted([&](std::size_t i) {
       const NodeId n = dom.members[i];
       step_router_domain(n, now, send_slot, dom);
@@ -450,6 +460,7 @@ void Network::step(Cycle now) {
   // arena free-list recycling and trace-event order cannot diverge.
   const std::size_t send_slot = ring_pos_;
   if (params_.activity_driven) {
+    stepped_ = router_act_.pending();
     router_act_.drain_sorted([&](std::size_t i) {
       step_router(static_cast<NodeId>(i), now, send_slot);
       // A router sleeps only when it holds no flits at all; anything

@@ -190,12 +190,15 @@ class Network {
   obs::LatencyAttributor* attributor() const { return attr_; }
   std::uint8_t attr_net() const { return attr_net_; }
 
-  /// Routers pending a step next cycle (activity-driven mode; the
-  /// self-profiler's wake statistic).
-  std::size_t routers_pending() const {
-    if (!domains_on_) return router_act_.pending();
+  /// Routers stepped by the last step() (the self-profiler's wake
+  /// statistic). Counted at the router drain, after this cycle's link
+  /// deliveries and NI injections woke their routers; always-on mode steps
+  /// every router.
+  std::size_t routers_stepped() const {
+    if (!params_.activity_driven) return routers_.size();
+    if (!domains_on_) return stepped_;
     std::size_t sum = 0;
-    for (const Domain& d : dom_) sum += d.act.pending();
+    for (const Domain& d : dom_) sum += d.stepped;
     return sum;
   }
 
@@ -244,6 +247,7 @@ class Network {
     /// event's slot is never reached before its latency elapses.
     std::vector<std::pair<std::size_t, FlitEvent>> out_flits;
     std::vector<std::pair<std::size_t, CreditEvent>> out_credits;
+    std::size_t stepped = 0;  ///< Routers stepped this cycle.
     // Stats staged thread-locally, folded at step_finish.
     std::uint64_t corrupted = 0;
     std::uint64_t credit_drops = 0;
@@ -264,7 +268,8 @@ class Network {
   /// [1, ring size]; lat == ring size lands back on send_slot itself, the
   /// uniform-latency fast path).
   std::size_t slot_after(std::size_t send_slot, std::size_t lat) const {
-    return (send_slot + (lat % flit_ring_.size())) % flit_ring_.size();
+    const std::size_t slot = send_slot + lat;  // < 2 * ring size.
+    return slot >= flit_ring_.size() ? slot - flit_ring_.size() : slot;
   }
 
   NetworkParams params_;
@@ -275,6 +280,7 @@ class Network {
   std::vector<std::unique_ptr<Router>> routers_;
   /// Routers that may do work next cycle (activity-driven mode only).
   ActiveSet router_act_;
+  std::size_t stepped_ = 0;  ///< Routers stepped by the last serial step.
   // Ring buffers implementing link pipeline latency.
   std::vector<std::vector<FlitEvent>> flit_ring_;
   std::vector<std::vector<CreditEvent>> credit_ring_;

@@ -289,13 +289,12 @@ void EjectNi::cycle(Cycle now) {
     if (!sink_->sink_ready()) return;  // Backpressure into the network.
     if (!r.has_ejected_flit()) return;
     const Flit f = r.pop_ejected_flit();
-    const Packet& pkt = net_->arena().at(f.pkt);
-    Partial& part = partial_[f.pkt];
-    ++part.have;
-    if (f.corrupted) part.corrupted = true;
-    if (part.have == pkt.num_flits) {
-      const bool corrupted = part.corrupted;
-      partial_.erase(f.pkt);
+    Packet& pkt = net_->arena().at(f.pkt);
+    if (pkt.rx_flits++ == 0) ++pending_;
+    if (f.corrupted) pkt.rx_corrupted = true;
+    if (pkt.rx_flits == pkt.num_flits) {
+      const bool corrupted = pkt.rx_corrupted;
+      --pending_;
       if (obs::PacketTracer* t = net_->tracer()) {
         t->record(obs::TraceEventKind::kEject, net_->tracer_net(), now, f.pkt,
                   pkt.type, node_, corrupted ? 1 : 0);

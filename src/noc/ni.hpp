@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/active_set.hpp"
@@ -196,28 +195,23 @@ class MultiPortInjectNi : public InjectNi {
 std::unique_ptr<InjectNi> make_inject_ni(NiArch arch, Network* net,
                                          NodeId node, const Config& cfg);
 
-/// Ejection-side NI with count-based packet reassembly.
+/// Ejection-side NI with count-based packet reassembly (the count lives in
+/// the packet's arena slot, Packet::rx_flits).
 class EjectNi {
  public:
   EjectNi(Network* net, NodeId node, PacketSink* sink,
           std::uint32_t drain_flits_per_cycle = 1);
 
   void cycle(Cycle now);
-  std::size_t pending_packets() const { return partial_.size(); }
+  /// Packets with some but not all flits received.
+  std::size_t pending_packets() const { return pending_; }
 
  private:
-  /// Reassembly state: flit count plus the sticky CRC verdict (any corrupted
-  /// flit taints the whole packet).
-  struct Partial {
-    std::uint16_t have = 0;
-    bool corrupted = false;
-  };
-
   Network* net_;
   NodeId node_;
   PacketSink* sink_;
   std::uint32_t drain_rate_;
-  std::unordered_map<PacketId, Partial> partial_;
+  std::size_t pending_ = 0;
 };
 
 }  // namespace arinoc

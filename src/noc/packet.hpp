@@ -31,12 +31,17 @@ const char* packet_type_name(PacketType t);
 
 struct Packet {
   PacketType type = PacketType::kReadRequest;
-  NodeId src = kInvalidNode;
-  NodeId dest = kInvalidNode;
-  std::uint16_t num_flits = 1;
   /// Multi-level injection priority (paper §5): set to levels-1 at packet
   /// generation, decremented by the route-computation unit at each hop.
   std::uint8_t priority = 0;
+  /// Ejection-side reassembly (EjectNi): the sticky CRC verdict (any
+  /// corrupted flit taints the whole packet) and the flits received so far.
+  /// Kept in the arena slot so reassembly needs no lookup table.
+  bool rx_corrupted = false;
+  NodeId src = kInvalidNode;
+  NodeId dest = kInvalidNode;
+  std::uint16_t num_flits = 1;
+  std::uint16_t rx_flits = 0;
   /// Memory transaction this packet carries (request id in the owning
   /// GpgpuSim; opaque to the NoC).
   std::uint64_t txn = 0;

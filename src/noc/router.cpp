@@ -1,7 +1,9 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <utility>
 
 #include "obs/attr.hpp"
 #include "obs/trace.hpp"
@@ -16,16 +18,22 @@ Router::Router(const RouterParams& params, const topo::Fabric* fabric,
       arena_(arena),
       input_vcs_(num_inputs() * params.num_vcs),
       output_vcs_(num_outputs() * params.num_vcs),
-      output_connected_(static_cast<std::size_t>(num_dirs_), false),
-      output_blocked_(static_cast<std::size_t>(num_dirs_), false),
-      input_connected_(static_cast<std::size_t>(num_dirs_), false),
       ejection_buf_(params.ejection_capacity_flits),
       input_rr_(num_inputs(), 0),
       output_arb_(num_outputs()),
+      slot_words_(request_words(input_vcs_.size())),
+      route_pending_(slot_words_, 0),
+      vc_waiting_(slot_words_, 0),
+      req_bits_(num_outputs() * slot_words_, 0),
+      req_key_(input_vcs_.size(), 0),
+      va_waiting_(input_vcs_.size()),
       out_flit_count_(num_outputs(), 0) {
+  // Port sets (requested and taken outputs, connected and blocked
+  // outputs) are u64 bitmasks.
+  static_assert(topo::kMaxPorts + 1 <= 64);
   for (auto& v : input_vcs_) v.buf.set_capacity(params.vc_depth_flits);
   for (std::uint32_t o = 0; o < num_outputs(); ++o) {
-    output_arb_[o].resize(num_inputs() * params.num_vcs);
+    output_arb_[o].resize(input_vcs_.size());
     for (std::uint32_t vc = 0; vc < params.num_vcs; ++vc) {
       // Ejection "credits" are handled through the shared ejection buffer.
       ovc(static_cast<int>(o), static_cast<int>(vc)).credits = 0;
@@ -35,15 +43,10 @@ Router::Router(const RouterParams& params, const topo::Fabric* fabric,
 
 void Router::connect_output(int dir, std::uint32_t downstream_depth_flits) {
   assert(dir >= 0 && dir < num_dirs_);
-  output_connected_[static_cast<std::size_t>(dir)] = true;
+  output_connected_ |= std::uint64_t{1} << dir;
   for (std::uint32_t vc = 0; vc < params_.num_vcs; ++vc) {
     ovc(dir, static_cast<int>(vc)).credits = downstream_depth_flits;
   }
-}
-
-void Router::connect_input(int dir) {
-  assert(dir >= 0 && dir < num_dirs_);
-  input_connected_[static_cast<std::size_t>(dir)] = true;
 }
 
 void Router::receive_flit(int dir, int vc, const Flit& flit) {
@@ -51,6 +54,9 @@ void Router::receive_flit(int dir, int vc, const Flit& flit) {
   assert(!v.buf.full() && "credit protocol violated");
   if (v.buf.empty()) v.wait_since = 0;  // refreshed at route_stage
   v.buf.push(flit);
+  if (v.state == InputVC::State::kIdle) {
+    set_bit(route_pending_.data(), slot_of(dir, vc));
+  }
   ++buffered_total_;
   if (act_set_) act_set_->wake(act_idx_);
 }
@@ -79,9 +85,13 @@ bool Router::injection_vc_ready(std::uint32_t ip, std::uint32_t vc,
 
 void Router::inject_flit(std::uint32_t ip, std::uint32_t vc, const Flit& flit,
                          Cycle now) {
-  InputVC& v = ivc(num_dirs_ + static_cast<int>(ip), static_cast<int>(vc));
+  const int port = num_dirs_ + static_cast<int>(ip);
+  InputVC& v = ivc(port, static_cast<int>(vc));
   assert(!v.buf.full() && "injection overflow");
   v.buf.push(flit);
+  if (v.state == InputVC::State::kIdle) {
+    set_bit(route_pending_.data(), slot_of(port, static_cast<int>(vc)));
+  }
   ++buffered_total_;
   if (act_set_) act_set_->wake(act_idx_);
   if (flit.head) {
@@ -125,8 +135,7 @@ bool Router::output_vc_admits(int out_port, int vc,
         flits, params_.ejection_capacity_flits);
     return ejection_buf_.free_space() >= need;
   }
-  if (!output_connected_[static_cast<std::size_t>(out_port)]) return false;
-  if (output_blocked_[static_cast<std::size_t>(out_port)]) return false;
+  if (!((output_connected_ & ~output_blocked_) >> out_port & 1u)) return false;
   if (params_.non_atomic_vc) {
     // Whole-packet forwarding: admit a new packet whenever the full packet
     // fits in the downstream free space, even if the VC is still draining.
@@ -139,7 +148,7 @@ bool Router::output_vc_admits(int out_port, int vc,
 
 bool Router::output_ready_for_flit(int out_port, int out_vc) const {
   if (out_port == num_dirs_) return !ejection_buf_.full();
-  if (output_blocked_[static_cast<std::size_t>(out_port)]) return false;
+  if ((output_blocked_ >> out_port) & 1u) return false;
   return output_vcs_[static_cast<std::size_t>(out_port) * params_.num_vcs +
                      static_cast<std::size_t>(out_vc)]
              .credits >= 1;
@@ -163,104 +172,126 @@ std::uint32_t Router::effective_priority(const InputVC& v, Cycle now) const {
 }
 
 void Router::route_stage(Cycle now) {
-  for (std::uint32_t p = 0; p < num_inputs(); ++p) {
-    for (std::uint32_t vc = 0; vc < params_.num_vcs; ++vc) {
-      InputVC& v = ivc(static_cast<int>(p), static_cast<int>(vc));
-      if (v.state != InputVC::State::kIdle || v.buf.empty()) continue;
+  // Every idle VC holding a head flit is routed this cycle, in ascending
+  // slot order, and moves to kWaitVC.
+  for (std::size_t w = 0; w < slot_words_; ++w) {
+    std::uint64_t bits = std::exchange(route_pending_[w], 0);
+    vc_waiting_[w] |= bits;
+    for (; bits != 0; bits &= bits - 1) {
+      const std::size_t idx =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      InputVC& v = input_vcs_[idx];
+      assert(v.state == InputVC::State::kIdle && !v.buf.empty());
+      const int p = static_cast<int>(idx / params_.num_vcs);
       const Flit& f = v.buf.front();
       assert(f.head && "non-head flit at idle VC front");
       Packet& pkt = arena_->at(f.pkt);
-      v.route = compute_route(*fabric_, params_.node, static_cast<int>(p),
-                              pkt.dest, params_.routing);
-      v.route_valid = true;
+      v.route = compute_route(*fabric_, params_.node, p, pkt.dest,
+                              params_.routing);
       v.state = InputVC::State::kWaitVC;
       v.wait_since = now;
       // §5: the RC unit decrements the priority field of every packet it
       // routes, except at the packet's own injection router where the
       // injection boost must still apply during switch allocation.
-      if (!is_injection_port(static_cast<int>(p)) && pkt.priority > 0) {
-        --pkt.priority;
-      }
+      if (!is_injection_port(p) && pkt.priority > 0) --pkt.priority;
     }
   }
 }
 
 void Router::vc_alloc_stage(Cycle now) {
+  // Collect the waiting VCs in round-robin order from va_rr_, with their
+  // effective priorities. Allocating one VC changes no other VC's priority,
+  // so these stay exact across the passes below.
+  const std::size_t total = input_vcs_.size();
+  std::size_t waiting = 0;
+  scan_round_robin(
+      vc_waiting_.data(), total, va_rr_, [&](std::size_t idx) {
+        va_waiting_[waiting++] = {static_cast<std::uint32_t>(idx),
+                                  effective_priority(input_vcs_[idx], now)};
+        return false;
+      });
   // With prioritization enabled, high-priority (injecting) packets get the
   // first pass at output-VC allocation — part of transferring them out of
-  // the "hot region" quickly (§5).
+  // the "hot region" quickly (§5). Pass k serves priority level
+  // levels-1-k; without prioritization one pass serves everyone.
   const std::uint32_t passes = params_.priority_levels;
-  for (std::uint32_t pass = 0; pass < passes; ++pass) {
+  for (std::uint32_t pass = 0; pass < passes && waiting > 0; ++pass) {
     const std::uint32_t wanted = passes - 1 - pass;
-    vc_alloc_pass(now, wanted, passes > 1);
+    for (std::size_t k = 0; k < waiting; ++k) {
+      if (passes > 1 && va_waiting_[k].priority != wanted) continue;
+      allocate_output_vc(now, va_waiting_[k].idx);
+    }
   }
-  va_rr_ = (va_rr_ + 1) % input_vcs_.size();
+  if (++va_rr_ == total) va_rr_ = 0;
 }
 
-void Router::vc_alloc_pass(Cycle now, std::uint32_t wanted_priority,
-                           bool filter) {
-  const std::size_t total = input_vcs_.size();
-  for (std::size_t i = 0; i < total; ++i) {
-    const std::size_t idx = (va_rr_ + i) % total;
-    InputVC& v = input_vcs_[idx];
-    if (v.state != InputVC::State::kWaitVC) continue;
-    if (filter && effective_priority(v, now) != wanted_priority) continue;
-    const Packet& pkt = arena_->at(v.buf.front().pkt);
-    const std::uint32_t flits = pkt.num_flits;
+void Router::allocate_output_vc(Cycle now, std::size_t idx) {
+  InputVC& v = input_vcs_[idx];
+  const Packet& pkt = arena_->at(v.buf.front().pkt);
+  const std::uint32_t flits = pkt.num_flits;
 
-    // Candidate output ports, best-credit first for adaptive routing.
-    std::vector<int> ports = v.route.minimal;
-    if (ports.size() > 1) {
-      std::stable_sort(ports.begin(), ports.end(), [&](int a, int b) {
-        std::uint32_t ca = 0, cb = 0;
-        for (std::uint32_t vc = 0; vc < params_.num_vcs; ++vc) {
-          ca += output_free_space(a, static_cast<int>(vc));
-          cb += output_free_space(b, static_cast<int>(vc));
-        }
-        return ca > cb;
-      });
+  // Candidate output ports, best-credit first for adaptive routing: an
+  // insertion sort (stable, so equal-credit ports keep route order) of
+  // (port, summed free space) pairs on the stack.
+  struct RankedPort {
+    int port;
+    std::uint32_t space;
+  };
+  RankedPort ports[PortList::kCapacity];
+  const std::size_t num_ports = v.route.minimal.size();
+  for (std::size_t k = 0; k < num_ports; ++k) {
+    const int port = v.route.minimal[k];
+    std::uint32_t space = 0;
+    if (num_ports > 1) {
+      for (std::uint32_t vc = 0; vc < params_.num_vcs; ++vc) {
+        space += output_free_space(port, static_cast<int>(vc));
+      }
     }
+    std::size_t j = k;
+    for (; j > 0 && ports[j - 1].space < space; --j) ports[j] = ports[j - 1];
+    ports[j] = {port, space};
+  }
 
-    int got_port = -1, got_vc = -1;
-    const bool adaptive = params_.routing == RoutingAlgo::kMinAdaptive;
-    // The fabric's local-port sentinel doubles as the ejection output index
-    // (both are num_dirs_), so `out` is the sentinel value either way.
-    const int eject = num_dirs_;
-    for (int port_dir : ports) {
-      const int out = port_dir;
-      const std::uint32_t first_vc =
-          (adaptive && out != eject) ? 1 : 0;  // VC0 = escape lane.
-      for (std::uint32_t vc = first_vc; vc < params_.num_vcs; ++vc) {
-        if (output_vc_admits(out, static_cast<int>(vc), flits)) {
-          got_port = out;
-          got_vc = static_cast<int>(vc);
-          break;
-        }
-      }
-      if (got_port != -1) break;
-    }
-    if (got_port == -1 && adaptive && v.route.xy != eject) {
-      // Escape fallback: VC0 along the deadlock-free escape port (the XY
-      // direction on meshes; any table port is deadlock-free on any VC).
-      if (output_vc_admits(v.route.xy, 0, flits)) {
-        got_port = v.route.xy;
-        got_vc = 0;
+  int got_port = -1, got_vc = -1;
+  const bool adaptive = params_.routing == RoutingAlgo::kMinAdaptive;
+  // The fabric's local-port sentinel doubles as the ejection output index
+  // (both are num_dirs_), so `out` is the sentinel value either way.
+  const int eject = num_dirs_;
+  for (std::size_t k = 0; k < num_ports; ++k) {
+    const int out = ports[k].port;
+    const std::uint32_t first_vc =
+        (adaptive && out != eject) ? 1 : 0;  // VC0 = escape lane.
+    for (std::uint32_t vc = first_vc; vc < params_.num_vcs; ++vc) {
+      if (output_vc_admits(out, static_cast<int>(vc), flits)) {
+        got_port = out;
+        got_vc = static_cast<int>(vc);
+        break;
       }
     }
-    if (got_port != -1) {
-      ovc(got_port, got_vc).owner = v.buf.front().pkt;
-      v.out_port = got_port;
-      v.out_vc = got_vc;
-      v.latched_priority = pkt.priority;
-      v.state = InputVC::State::kActive;
-      if (tracer_) {
-        tracer_->record(obs::TraceEventKind::kVcAlloc, tracer_net_, now,
-                        v.buf.front().pkt, pkt.type, params_.node, got_port);
-      }
-      if (attr_) {
-        attr_->on_vc_alloc(attr_net_, v.buf.front().pkt, params_.node,
-                           got_port, got_vc, now);
-      }
+    if (got_port != -1) break;
+  }
+  if (got_port == -1 && adaptive && v.route.xy != eject) {
+    // Escape fallback: VC0 along the deadlock-free escape port (the XY
+    // direction on meshes; any table port is deadlock-free on any VC).
+    if (output_vc_admits(v.route.xy, 0, flits)) {
+      got_port = v.route.xy;
+      got_vc = 0;
+    }
+  }
+  if (got_port != -1) {
+    ovc(got_port, got_vc).owner = v.buf.front().pkt;
+    v.out_port = got_port;
+    v.out_vc = got_vc;
+    v.latched_priority = pkt.priority;
+    v.state = InputVC::State::kActive;
+    clear_bit(vc_waiting_.data(), idx);
+    if (tracer_) {
+      tracer_->record(obs::TraceEventKind::kVcAlloc, tracer_net_, now,
+                      v.buf.front().pkt, pkt.type, params_.node, got_port);
+    }
+    if (attr_) {
+      attr_->on_vc_alloc(attr_net_, v.buf.front().pkt, params_.node,
+                         got_port, got_vc, now);
     }
   }
 }
@@ -269,45 +300,43 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
                           std::vector<OutboundCredit>* out_credits) {
   // ---- Input arbitration: each port nominates candidates. Normal input
   // ports hold one switch port; injection ports hold S of them (§4.2). ----
-  struct OutputRequest {
-    std::vector<bool> req;
-    std::vector<std::uint32_t> key;
-  };
-  std::vector<OutputRequest> requests(num_outputs());
-  const std::size_t slots = num_inputs() * params_.num_vcs;
-  for (auto& r : requests) {
-    r.req.assign(slots, false);
-    r.key.assign(slots, 0);
-  }
-
+  std::uint64_t requested_outputs = 0;  // One bit per output port.
   for (std::uint32_t p = 0; p < num_inputs(); ++p) {
     const std::uint32_t budget =
         is_injection_port(static_cast<int>(p)) ? params_.injection_speedup : 1;
     std::uint32_t used = 0;
-    // One bit per output port; topo::kMaxPorts (32) + ejection fits u64.
     std::uint64_t port_taken = 0;
-    for (std::uint32_t k = 0; k < params_.num_vcs && used < budget; ++k) {
-      const std::uint32_t vc =
-          static_cast<std::uint32_t>((input_rr_[p] + k) % params_.num_vcs);
+    std::uint32_t vc = static_cast<std::uint32_t>(input_rr_[p]);
+    for (std::uint32_t k = 0; k < params_.num_vcs && used < budget;
+         ++k, vc = vc + 1 == params_.num_vcs ? 0 : vc + 1) {
       InputVC& v = ivc(static_cast<int>(p), static_cast<int>(vc));
       if (v.state != InputVC::State::kActive || v.buf.empty()) continue;
       if (!output_ready_for_flit(v.out_port, v.out_vc)) continue;
-      if ((port_taken >> v.out_port) & 1u) continue;
-      port_taken |= 1ull << v.out_port;
+      const std::uint64_t out_bit = std::uint64_t{1} << v.out_port;
+      if (port_taken & out_bit) continue;
+      port_taken |= out_bit;
+      requested_outputs |= out_bit;
       ++used;
       const std::size_t slot =
-          static_cast<std::size_t>(p) * params_.num_vcs + vc;
-      requests[static_cast<std::size_t>(v.out_port)].req[slot] = true;
-      requests[static_cast<std::size_t>(v.out_port)].key[slot] =
-          effective_priority(v, now);
+          slot_of(static_cast<int>(p), static_cast<int>(vc));
+      set_bit(&req_bits_[static_cast<std::size_t>(v.out_port) * slot_words_],
+              slot);
+      req_key_[slot] = effective_priority(v, now);
     }
-    input_rr_[p] = (input_rr_[p] + 1) % params_.num_vcs;
+    if (++input_rr_[p] == params_.num_vcs) input_rr_[p] = 0;
   }
 
-  // ---- Output arbitration + switch traversal. ----
-  for (std::uint32_t o = 0; o < num_outputs(); ++o) {
-    const int winner = output_arb_[o].pick(requests[o].req, requests[o].key);
-    if (winner < 0) continue;
+  // ---- Output arbitration + switch traversal, in ascending output order.
+  // Outputs nobody requested are skipped: an arbiter with no request moves
+  // no pointer, so skipping it changes no state. ----
+  while (requested_outputs != 0) {
+    const int o = std::countr_zero(requested_outputs);
+    requested_outputs &= requested_outputs - 1;
+    std::uint64_t* req = &req_bits_[static_cast<std::size_t>(o) * slot_words_];
+    const int winner =
+        output_arb_[static_cast<std::size_t>(o)].pick(req, req_key_.data());
+    std::fill(req, req + slot_words_, std::uint64_t{0});
+    assert(winner >= 0);
     const int p = winner / static_cast<int>(params_.num_vcs);
     const int vc = winner % static_cast<int>(params_.num_vcs);
     InputVC& v = ivc(p, vc);
@@ -316,7 +345,7 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
     ++crossbar_count_;
     v.wait_since = now;
 
-    if (static_cast<int>(o) == num_dirs_) {
+    if (o == num_dirs_) {
       assert(!ejection_buf_.full());
       ejection_buf_.push(f);
       if (eject_set_) eject_set_->wake(eject_idx_);
@@ -326,12 +355,11 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
       ++ejected_flit_count_;
       ++out_flit_count_[static_cast<std::size_t>(num_dirs_)];
     } else {
-      OutputVC& out = ovc(static_cast<int>(o), v.out_vc);
+      OutputVC& out = ovc(o, v.out_vc);
       assert(out.credits >= 1);
       --out.credits;
-      out_flits->push_back(
-          {static_cast<int>(o), v.out_vc, f});
-      ++out_flit_count_[o];
+      out_flits->push_back({o, v.out_vc, f});
+      ++out_flit_count_[static_cast<std::size_t>(o)];
     }
     // Return a credit upstream for direction inputs; injection buffers are
     // observed directly by the same-tile NI.
@@ -339,11 +367,14 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
       out_credits->push_back({p, vc});
     }
     if (f.tail) {
-      ovc(static_cast<int>(o), v.out_vc).owner = kInvalidPacket;
+      ovc(o, v.out_vc).owner = kInvalidPacket;
       v.state = InputVC::State::kIdle;
       v.out_port = -1;
       v.out_vc = -1;
-      v.route_valid = false;
+      // A following packet's head may already be buffered behind the tail.
+      if (!v.buf.empty()) {
+        set_bit(route_pending_.data(), static_cast<std::size_t>(winner));
+      }
     }
   }
 }

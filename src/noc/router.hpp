@@ -69,7 +69,6 @@ class Router {
   // ---- Wiring (done once by Network) ----
   /// Marks a direction output as connected (edge ports stay disconnected).
   void connect_output(int dir, std::uint32_t downstream_depth_flits);
-  void connect_input(int dir);
 
   // ---- Per-cycle interface (driven by Network) ----
   /// Delivers a flit arriving on a direction input port.
@@ -111,17 +110,18 @@ class Router {
     return ivc(dir, vc).buf.size();
   }
   bool output_is_connected(int dir) const {
-    return output_connected_[static_cast<std::size_t>(dir)];
+    return (output_connected_ >> dir) & 1u;
   }
   /// Fault-aware routing hook: while a direction output is blocked (the link
   /// is stalled or permanently failed), VC allocation refuses it and switch
   /// traversal holds its flits, so adaptive routing steers around the fault
   /// and nothing in flight is lost.
   void set_output_blocked(int dir, bool blocked) {
-    output_blocked_[static_cast<std::size_t>(dir)] = blocked;
+    const std::uint64_t bit = std::uint64_t{1} << dir;
+    output_blocked_ = blocked ? output_blocked_ | bit : output_blocked_ & ~bit;
   }
   bool output_is_blocked(int dir) const {
-    return output_blocked_[static_cast<std::size_t>(dir)];
+    return (output_blocked_ >> dir) & 1u;
   }
   std::uint32_t vc_depth_flits() const { return params_.vc_depth_flits; }
   /// Flits currently buffered across every input VC (direction + injection).
@@ -178,7 +178,6 @@ class Router {
     int out_vc = -1;
     RouteCandidates route;
     Cycle wait_since = 0;
-    bool route_valid = false;
     /// Packet priority captured when this VC won its output VC. Active VCs
     /// arbitrate with this latch: hardware sees the priority the head flit
     /// carried through here, not later decrements by downstream routers —
@@ -203,13 +202,14 @@ class Router {
     return static_cast<std::uint32_t>(num_dirs_) + 1;  // +1: ejection.
   }
   bool is_injection_port(int in_port) const { return in_port >= num_dirs_; }
-  InputVC& ivc(int port, int vc) {
-    return input_vcs_[static_cast<std::size_t>(port) * params_.num_vcs +
-                      static_cast<std::size_t>(vc)];
+  /// Slot of input VC (port, vc) in input_vcs_ and the per-slot bitsets.
+  std::size_t slot_of(int port, int vc) const {
+    return static_cast<std::size_t>(port) * params_.num_vcs +
+           static_cast<std::size_t>(vc);
   }
+  InputVC& ivc(int port, int vc) { return input_vcs_[slot_of(port, vc)]; }
   const InputVC& ivc(int port, int vc) const {
-    return input_vcs_[static_cast<std::size_t>(port) * params_.num_vcs +
-                      static_cast<std::size_t>(vc)];
+    return input_vcs_[slot_of(port, vc)];
   }
   OutputVC& ovc(int port, int vc) {
     return output_vcs_[static_cast<std::size_t>(port) * params_.num_vcs +
@@ -218,7 +218,9 @@ class Router {
 
   void route_stage(Cycle now);
   void vc_alloc_stage(Cycle now);
-  void vc_alloc_pass(Cycle now, std::uint32_t wanted_priority, bool filter);
+  /// Tries to give waiting input VC `idx` an output VC on one of its
+  /// route's ports.
+  void allocate_output_vc(Cycle now, std::size_t idx);
   void switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
                     std::vector<OutboundCredit>* out_credits);
 
@@ -242,15 +244,35 @@ class Router {
 
   std::vector<InputVC> input_vcs_;    // [input_port][vc]
   std::vector<OutputVC> output_vcs_;  // [output_port][vc]; last = ejection
-  std::vector<bool> output_connected_;  // direction outputs only
-  std::vector<bool> output_blocked_;    // fault injector (stall/port-fail)
-  std::vector<bool> input_connected_;
+  // Direction-output bitmasks (bit = port; topo::kMaxPorts <= 64).
+  std::uint64_t output_connected_ = 0;
+  std::uint64_t output_blocked_ = 0;  // fault injector (stall/port-fail)
   FlitBuffer ejection_buf_;
 
   // Rotating pointers for fairness.
   std::vector<std::size_t> input_rr_;            // per input port, over VCs
   std::vector<PriorityArbiter> output_arb_;      // per output port
   std::size_t va_rr_ = 0;                        // over all input VCs
+
+  // Per-slot bitsets (slot = input_port * num_vcs + vc), slot_words_ words
+  // each, sized once at construction:
+  //  * route_pending_: idle VCs holding a head flit (route_stage's work);
+  //  * vc_waiting_: VCs in kWaitVC (vc_alloc_stage's work);
+  //  * req_bits_: switch requests, slot_words_ words per output port. A
+  //    slot requests at most one output per cycle, so one per-slot key
+  //    array serves every output; switch_stage leaves all bits clear.
+  std::size_t slot_words_ = 0;
+  std::vector<std::uint64_t> route_pending_;
+  std::vector<std::uint64_t> vc_waiting_;
+  std::vector<std::uint64_t> req_bits_;  // [output_port][word]
+  std::vector<std::uint32_t> req_key_;   // [slot]
+  // VC-allocation scratch, sized once: the input VCs waiting for an output
+  // VC this cycle, in round-robin order, with their effective priorities.
+  struct WaitingVC {
+    std::uint32_t idx;
+    std::uint32_t priority;
+  };
+  std::vector<WaitingVC> va_waiting_;
 
   obs::PacketTracer* tracer_ = nullptr;
   std::uint8_t tracer_net_ = 0;

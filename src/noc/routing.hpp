@@ -7,7 +7,8 @@
 // adaptive lanes can be reallocated non-atomically without deadlock.
 #pragma once
 
-#include <vector>
+#include <cassert>
+#include <cstdint>
 
 #include "common/config.hpp"
 #include "noc/topology.hpp"
@@ -15,11 +16,33 @@
 
 namespace arinoc {
 
+/// Ordered list of output ports stored inline (no heap): a fabric has at
+/// most topo::kMaxPorts direction ports, and a route lists each at most once
+/// (or only the local port).
+class PortList {
+ public:
+  static constexpr std::size_t kCapacity = topo::kMaxPorts;
+
+  std::size_t size() const { return n_; }
+  int operator[](std::size_t i) const { return ports_[i]; }
+  const std::int8_t* begin() const { return ports_; }
+  const std::int8_t* end() const { return ports_ + n_; }
+  void push_back(int port) {
+    assert(n_ < kCapacity && port >= 0 && port <= topo::kMaxPorts);
+    ports_[n_++] = static_cast<std::int8_t>(port);
+  }
+
+ private:
+  std::int8_t ports_[kCapacity] = {};
+  std::uint8_t n_ = 0;
+};
+
 struct RouteCandidates {
   /// Minimal productive output ports, or the local (ejection) port when the
-  /// packet has arrived. On meshes this is the 1-2 productive directions;
-  /// on table-routed fabrics it is every minimal up*/down*-legal port.
-  std::vector<int> minimal;
+  /// packet has arrived. On meshes this is the 1-2 productive directions
+  /// (x before y); on table-routed fabrics it is every minimal
+  /// up*/down*-legal port, in ascending port order.
+  PortList minimal;
   /// The escape port (always a member of `minimal`): the XY dimension-order
   /// direction on meshes, the lowest-numbered minimal legal port on
   /// table-routed fabrics.

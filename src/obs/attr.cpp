@@ -25,7 +25,6 @@ LatencyAttributor::LatencyAttributor(Cycle window_cycles,
                                      std::size_t packet_capacity)
     : window_(window_cycles == 0 ? kDefaultWindow : window_cycles),
       packet_capacity_(packet_capacity == 0 ? 1 : packet_capacity) {
-  ring_.resize(packet_capacity_);
   if ((window_ & (window_ - 1)) == 0) {
     win_shift_ = 0;
     for (Cycle w = window_; w > 1; w >>= 1) ++win_shift_;
@@ -186,6 +185,9 @@ void LatencyAttributor::on_deliver(std::uint8_t net, PacketId id, Cycle now) {
   t.e2e += now - s.origin;
   for (std::size_t i = 0; i < kNumAttrStages; ++i) t.stage[i] += s.stage[i];
 
+  // The ring is sized on first use, so an attributor that is never attached
+  // holds no packet storage.
+  if (ring_.empty()) ring_.resize(packet_capacity_);
   ring_[ring_head_] = a;
   ring_head_ = ring_head_ + 1 == ring_.size() ? 0 : ring_head_ + 1;
   if (ring_size_ < ring_.size()) ++ring_size_;

@@ -364,7 +364,7 @@ class LatencyAttributor {
   /// shares are fractions of this.
   std::uint64_t attributed_net_[2] = {};
   TypeSums type_sums_[2][4];
-  // Finalized-packet ring.
+  // Finalized-packet ring, sized to packet_capacity_ by the first delivery.
   std::vector<PacketAttr> ring_;
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;

@@ -21,8 +21,10 @@
 #include "core/gpgpu_sim.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
+#include "gpu/instr.hpp"
 #include "obs/attr.hpp"
 #include "obs/selfprof.hpp"
+#include "obs/trace.hpp"
 #include "topo/graph.hpp"
 #include "topo/layout.hpp"
 #include "workloads/benchmark.hpp"
@@ -371,6 +373,59 @@ TEST(SelfProfiler, DoesNotPerturbSimulationResults) {
 
   EXPECT_EQ(metrics_to_json(profiled.collect()),
             metrics_to_json(plain.collect()));
+}
+
+/// Issues one load from core 0 / warp 0, then only ALU work.
+class OneLoadSource : public InstrSource {
+ public:
+  Instr next(std::uint32_t core, std::uint32_t warp) override {
+    Instr i;
+    if (!issued_ && core == 0 && warp == 0) {
+      issued_ = true;
+      i.is_mem = true;
+      i.num_lines = 1;
+      i.lines[0] = 0x1000;
+    }
+    return i;
+  }
+
+ private:
+  bool issued_ = false;
+};
+
+TEST(SelfProfiler, CountsRouterWokenByInjectionThatCycle) {
+  // One packet enters an otherwise idle fabric. In the cycle its head flit
+  // is injected, the injection router steps, so that cycle's router wake
+  // count must be non-zero (it is sampled at the router drain, after the
+  // injection-NI phase woke the router).
+  const Config cfg = apply_scheme(tiny_config(), Scheme::kXYBaseline);
+  OneLoadSource source;
+  GpgpuSim sim(cfg, &source);
+  obs::PacketTracer tracer;
+  sim.attach_tracer(&tracer);
+  obs::SelfProfiler prof(1);  // One epoch per cycle.
+  sim.attach_self_profiler(&prof);
+  sim.run(200);
+  prof.finish(sim.now());
+
+  Cycle inject = 0;
+  bool found = false;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.kind == obs::TraceEventKind::kInject) {
+      inject = e.cycle;
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found) << "the load never reached the network";
+  ASSERT_GT(inject, 0u);  // Cycle 0 steps every component regardless.
+  const auto& epochs = prof.epochs();
+  ASSERT_GT(epochs.size(), inject);
+  const auto& e = epochs[inject];
+  ASSERT_EQ(e.start_cycle, inject);
+  const auto routers = static_cast<std::size_t>(obs::ProfGroup::kRouters);
+  EXPECT_GT(e.awake[routers], 0u);
+  EXPECT_LE(e.awake[routers], e.capacity[routers]);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/numparse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -214,6 +217,56 @@ TEST(SchemeNames, AllDistinct) {
     names.insert(scheme_name(s));
   }
   EXPECT_EQ(names.size(), 9u);
+}
+
+// ---------------------------------------------------------------- numparse
+
+TEST(NumParse, UintAcceptsPlainDecimal) {
+  std::string why;
+  EXPECT_EQ(parse_uint("0", 10, &why), 0u);
+  EXPECT_EQ(parse_uint("8000", UINT64_MAX, &why), 8000u);
+  EXPECT_EQ(parse_uint("18446744073709551615", UINT64_MAX, &why),
+            UINT64_MAX);
+  EXPECT_EQ(parse_uint("4294967295", UINT32_MAX, &why), UINT32_MAX);
+}
+
+TEST(NumParse, UintRejectsSignJunkAndOverflow) {
+  std::string why;
+  EXPECT_FALSE(parse_uint("-5", UINT64_MAX, &why));
+  EXPECT_NE(why.find("sign"), std::string::npos) << why;
+  EXPECT_FALSE(parse_uint("+5", UINT64_MAX, &why));
+  EXPECT_NE(why.find("sign"), std::string::npos) << why;
+  EXPECT_FALSE(parse_uint("12x", UINT64_MAX, &why));
+  EXPECT_NE(why.find("'x' at position 3"), std::string::npos) << why;
+  EXPECT_FALSE(parse_uint("", UINT64_MAX, &why));
+  EXPECT_FALSE(parse_uint(" 1", UINT64_MAX, &why));
+  EXPECT_FALSE(parse_uint("1e3", UINT64_MAX, &why));
+  EXPECT_FALSE(parse_uint("18446744073709551616", UINT64_MAX, &why));
+  EXPECT_NE(why.find("out of range"), std::string::npos) << why;
+  EXPECT_FALSE(parse_uint("4294967296", UINT32_MAX, &why));
+  EXPECT_FALSE(parse_uint("7", 5, &why));
+}
+
+TEST(NumParse, RealAcceptsDecimalAndExponent) {
+  std::string why;
+  EXPECT_DOUBLE_EQ(*parse_real("5e-4", &why), 5e-4);
+  EXPECT_DOUBLE_EQ(*parse_real("1.5", &why), 1.5);
+  EXPECT_DOUBLE_EQ(*parse_real("0", &why), 0.0);
+}
+
+TEST(NumParse, RealRejectsSignJunkAndNonFinite) {
+  std::string why;
+  EXPECT_FALSE(parse_real("-0.1", &why));
+  EXPECT_NE(why.find("sign"), std::string::npos) << why;
+  EXPECT_FALSE(parse_real("1.5x", &why));
+  EXPECT_NE(why.find("'x' at position 4"), std::string::npos) << why;
+  EXPECT_FALSE(parse_real("abc", &why));
+  EXPECT_FALSE(parse_real("", &why));
+  EXPECT_FALSE(parse_real("inf", &why));
+  EXPECT_FALSE(parse_real("nan", &why));
+  EXPECT_NE(why.find("finite"), std::string::npos) << why;
+  EXPECT_FALSE(parse_real("1e999", &why));
+  EXPECT_NE(why.find("out of range"), std::string::npos) << why;
 }
 
 }  // namespace

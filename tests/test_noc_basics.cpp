@@ -1,6 +1,10 @@
 // Packet arena, flit buffers, arbiters and route computation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "noc/arbiter.hpp"
 #include "noc/buffer.hpp"
 #include "noc/packet.hpp"
@@ -111,53 +115,146 @@ TEST(FlitBuffer, OccupancySampling) {
   EXPECT_EQ(buf.peak_occupancy(), 3u);
 }
 
+TEST(FlitBuffer, RingWrapsInOrder) {
+  // Interleaved push/pop walks the head around the ring many times; order
+  // and at() indexing must hold across the wrap point.
+  FlitBuffer buf(3);
+  PacketId next_in = 0, next_out = 0;
+  for (int round = 0; round < 20; ++round) {
+    while (!buf.full()) buf.push(PacketArena::flit_of(next_in++, 0, 1));
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      EXPECT_EQ(buf.at(i).pkt, next_out + i);
+    }
+    const int pops = 1 + round % 3;
+    for (int k = 0; k < pops; ++k) EXPECT_EQ(buf.pop().pkt, next_out++);
+  }
+}
+
 // ---------------------------------------------------------------- Arbiters
 
 TEST(RoundRobinArbiter, GrantsRotate) {
   RoundRobinArbiter arb(3);
-  const std::vector<bool> all = {true, true, true};
-  EXPECT_EQ(arb.pick(all), 0);
-  EXPECT_EQ(arb.pick(all), 1);
-  EXPECT_EQ(arb.pick(all), 2);
-  EXPECT_EQ(arb.pick(all), 0);
+  const std::uint64_t all = 0b111;
+  EXPECT_EQ(arb.pick(&all), 0);
+  EXPECT_EQ(arb.pick(&all), 1);
+  EXPECT_EQ(arb.pick(&all), 2);
+  EXPECT_EQ(arb.pick(&all), 0);
 }
 
 TEST(RoundRobinArbiter, SkipsNonRequesters) {
   RoundRobinArbiter arb(4);
-  EXPECT_EQ(arb.pick({false, false, true, false}), 2);
-  EXPECT_EQ(arb.pick({true, false, true, false}), 0);  // Pointer is past 2.
+  const std::uint64_t only2 = 0b0100;
+  const std::uint64_t zero_and_2 = 0b0101;
+  EXPECT_EQ(arb.pick(&only2), 2);
+  EXPECT_EQ(arb.pick(&zero_and_2), 0);  // Pointer is past 2.
 }
 
 TEST(RoundRobinArbiter, NoRequestsReturnsMinusOne) {
   RoundRobinArbiter arb(2);
-  EXPECT_EQ(arb.pick({false, false}), -1);
+  const std::uint64_t none = 0;
+  EXPECT_EQ(arb.pick(&none), -1);
+}
+
+TEST(RoundRobinArbiter, EmptyPickLeavesPointer) {
+  RoundRobinArbiter arb(4);
+  const std::uint64_t all = 0b1111;
+  const std::uint64_t none = 0;
+  EXPECT_EQ(arb.pick(&all), 0);
+  EXPECT_EQ(arb.pick(&none), -1);
+  EXPECT_EQ(arb.pick(&all), 1);
 }
 
 TEST(RoundRobinArbiter, FairUnderSaturation) {
   RoundRobinArbiter arb(4);
   int grants[4] = {0, 0, 0, 0};
-  const std::vector<bool> all = {true, true, true, true};
-  for (int i = 0; i < 400; ++i) ++grants[arb.pick(all)];
+  const std::uint64_t all = 0b1111;
+  for (int i = 0; i < 400; ++i) ++grants[arb.pick(&all)];
   for (int g : grants) EXPECT_EQ(g, 100);
+}
+
+TEST(RoundRobinArbiter, MultiWordWrapsAround) {
+  // 130 inputs span three words; the pointer crosses word boundaries and
+  // wraps from the last word back into the low bits of its start word.
+  RoundRobinArbiter arb(130);
+  ASSERT_EQ(request_words(130), 3u);
+  std::uint64_t req[3] = {};
+  auto set = [&](int i) { req[i / 64] |= std::uint64_t{1} << (i % 64); };
+  set(5);
+  set(70);
+  set(129);
+  EXPECT_EQ(arb.pick(req), 5);
+  EXPECT_EQ(arb.pick(req), 70);
+  EXPECT_EQ(arb.pick(req), 129);
+  EXPECT_EQ(arb.pick(req), 5);  // Wrapped.
+  std::uint64_t low_only[3] = {std::uint64_t{1} << 3, 0, 0};
+  EXPECT_EQ(arb.pick(low_only), 3);  // Pointer at 6: wraps to bit 3.
+}
+
+TEST(RoundRobinArbiter, MatchesReferenceScan) {
+  // Property: the bitset scan equals the obvious modular scan over random
+  // request patterns, including multi-word widths.
+  for (const std::size_t n : {1u, 7u, 20u, 64u, 65u, 148u}) {
+    RoundRobinArbiter arb(n);
+    std::size_t ptr = 0;
+    std::vector<std::uint64_t> req(request_words(n));
+    std::uint64_t state = 0x9e3779b97f4a7c15ull + n;
+    for (int trial = 0; trial < 300; ++trial) {
+      std::fill(req.begin(), req.end(), 0);
+      std::vector<char> bits(n, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        if ((state >> 61) == 0) {
+          bits[i] = 1;
+          req[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+      }
+      int want = -1;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t idx = (ptr + k) % n;
+        if (bits[idx]) {
+          want = static_cast<int>(idx);
+          ptr = (idx + 1) % n;
+          break;
+        }
+      }
+      ASSERT_EQ(arb.pick(req.data()), want) << "n=" << n << " trial=" << trial;
+    }
+  }
 }
 
 TEST(PriorityArbiter, HighestKeyWins) {
   PriorityArbiter arb(3);
-  EXPECT_EQ(arb.pick({true, true, true}, {0, 2, 1}), 1);
+  const std::uint64_t all = 0b111;
+  const std::uint32_t key[3] = {0, 2, 1};
+  EXPECT_EQ(arb.pick(&all, key), 1);
 }
 
 TEST(PriorityArbiter, TieBrokenRoundRobin) {
   PriorityArbiter arb(3);
-  const std::vector<bool> req = {true, true, false};
-  const std::vector<std::uint32_t> key = {1, 1, 0};
-  const int first = arb.pick(req, key);
-  const int second = arb.pick(req, key);
+  const std::uint64_t req = 0b011;
+  const std::uint32_t key[3] = {1, 1, 0};
+  const int first = arb.pick(&req, key);
+  const int second = arb.pick(&req, key);
   EXPECT_NE(first, second);  // Rotates among equal-priority requesters.
 }
 
 TEST(PriorityArbiter, IgnoresKeysOfNonRequesters) {
   PriorityArbiter arb(3);
-  EXPECT_EQ(arb.pick({true, false, false}, {0, 9, 9}), 0);
+  const std::uint64_t req = 0b001;
+  const std::uint32_t key[3] = {0, 9, 9};
+  EXPECT_EQ(arb.pick(&req, key), 0);
+}
+
+TEST(PriorityArbiter, TieBreakStartsAtPointer) {
+  // After granting input 1 the pointer sits at 2: among the equal top keys
+  // {0, 3}, input 3 comes first in round-robin order.
+  PriorityArbiter arb(4);
+  const std::uint64_t only1 = 0b0010;
+  const std::uint32_t key[4] = {5, 0, 1, 5};
+  EXPECT_EQ(arb.pick(&only1, key), 1);
+  const std::uint64_t all = 0b1111;
+  EXPECT_EQ(arb.pick(&all, key), 3);
+  EXPECT_EQ(arb.pick(&all, key), 0);
 }
 
 // ---------------------------------------------------------------- Routing
