@@ -1,7 +1,9 @@
 #include "common/config.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 namespace arinoc {
 
@@ -71,6 +73,22 @@ std::string Config::validate() const {
   if (warps_per_core == 0) err << "warps_per_core must be > 0 (got 0); ";
   if (dram_banks == 0) err << "dram_banks must be > 0 (got 0); ";
   if (link_latency == 0) err << "link_latency must be >= 1 cycle (got 0); ";
+
+  // Every real must be finite: NaN passes the range checks below, since
+  // every comparison with it is false.
+  const std::pair<const char*, double> reals[] = {
+      {"mem_clock_ratio", mem_clock_ratio}, {"pace_scale", pace_scale},
+      {"fault_corrupt_rate", fault_corrupt_rate},
+      {"fault_link_stall_rate", fault_link_stall_rate},
+      {"fault_port_fail_rate", fault_port_fail_rate},
+      {"fault_credit_loss_rate", fault_credit_loss_rate},
+      {"ol_write_frac", ol_write_frac}, {"adm_rate", adm_rate},
+      {"adm_throttle_factor", adm_throttle_factor},
+      {"adm_throttle_occ", adm_throttle_occ}, {"adm_shed_occ", adm_shed_occ},
+      {"adm_recover_occ", adm_recover_occ}};
+  for (const auto& [name, v] : reals) {
+    if (!std::isfinite(v)) err << name << " must be finite (got " << v << "); ";
+  }
 
   auto check_rate = [&err](const char* name, double v) {
     if (v < 0.0 || v > 1.0)

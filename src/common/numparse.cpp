@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace arinoc {
 
@@ -70,6 +72,16 @@ std::optional<double> parse_real(std::string_view text, std::string* why) {
     return std::nullopt;
   }
   return value;
+}
+
+std::optional<std::uint64_t> env_uint(const char* name, std::uint64_t max) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return std::nullopt;
+  std::string why;
+  if (const auto value = parse_uint(text, max, &why)) return value;
+  std::fprintf(stderr, "error: environment variable %s '%s': %s\n", name, text,
+               why.c_str());
+  std::exit(2);
 }
 
 }  // namespace arinoc

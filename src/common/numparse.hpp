@@ -21,4 +21,9 @@ std::optional<std::uint64_t> parse_uint(std::string_view text,
 /// Non-negative finite real (decimal or exponent notation, e.g. 5e-4).
 std::optional<double> parse_real(std::string_view text, std::string* why);
 
+/// Environment variable `name` as an unsigned decimal in [0, max]; nullopt
+/// when unset. A malformed value is a usage error like a bad flag: prints
+/// a message naming the variable and exits with status 2.
+std::optional<std::uint64_t> env_uint(const char* name, std::uint64_t max);
+
 }  // namespace arinoc

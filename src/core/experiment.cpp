@@ -1,8 +1,9 @@
 #include "core/experiment.hpp"
 
-#include <cstdlib>
+#include <cstdint>
 #include <stdexcept>
 
+#include "common/numparse.hpp"
 #include "exec/runner.hpp"
 
 namespace arinoc {
@@ -16,11 +17,11 @@ Config make_base_config() {
 }
 
 Config apply_env_overrides(Config cfg) {
-  if (const char* rc = std::getenv("ARINOC_RUN_CYCLES")) {
-    cfg.run_cycles = static_cast<Cycle>(std::strtoull(rc, nullptr, 10));
+  if (const auto rc = env_uint("ARINOC_RUN_CYCLES", UINT64_MAX)) {
+    cfg.run_cycles = *rc;
   }
-  if (const char* wc = std::getenv("ARINOC_WARMUP_CYCLES")) {
-    cfg.warmup_cycles = static_cast<Cycle>(std::strtoull(wc, nullptr, 10));
+  if (const auto wc = env_uint("ARINOC_WARMUP_CYCLES", UINT64_MAX)) {
+    cfg.warmup_cycles = *wc;
   }
   return cfg;
 }

@@ -21,7 +21,8 @@ namespace arinoc {
 Config make_base_config();
 
 /// Simulation length override honoured by every bench binary:
-/// ARINOC_RUN_CYCLES / ARINOC_WARMUP_CYCLES environment variables.
+/// ARINOC_RUN_CYCLES / ARINOC_WARMUP_CYCLES environment variables. A
+/// malformed value exits 2 with a message naming the variable.
 Config apply_env_overrides(Config cfg);
 
 struct RunResult {

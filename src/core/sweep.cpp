@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/metrics_schema.hpp"
 #include "exec/runner.hpp"
 
 namespace arinoc {
@@ -55,34 +56,35 @@ std::string Sweep::csv_escape(const std::string& field) {
   return out;
 }
 
+/// The numeric columns, between `benchmark` and `fabric`, each a row of the
+/// Metrics field table. Order is a positional contract: a new column goes
+/// last here (the string row `bottleneck` stays after `fabric`).
+constexpr const char* kCsvMetrics[] = {
+    "cycles", "ipc", "request_latency", "reply_latency", "mc_stall_cycles",
+    "reply_injection_util", "reply_internal_util", "l1_hit_rate",
+    "l2_hit_rate", "dram_row_hit_rate", "energy_total_nj", "reply_latency_p50",
+    "reply_latency_p95", "reply_latency_p99", "reply_latency_p999",
+    "offered_rate", "goodput", "requests_shed", "e2e_latency_p99",
+    "cycles_degraded",
+};
+
 std::string Sweep::to_csv(const std::vector<SweepCell>& cells) {
   std::ostringstream os;
-  // New columns append before the trailing `error` column so positional
-  // consumers of the original prefix keep working.
-  os << "point,scheme,benchmark,cycles,ipc,request_latency,reply_latency,"
-        "mc_stall_cycles,reply_injection_util,reply_internal_util,"
-        "l1_hit_rate,l2_hit_rate,dram_row_hit_rate,energy_total_nj,"
-        "reply_latency_p50,reply_latency_p95,reply_latency_p99,"
-        "reply_latency_p999,offered_rate,goodput,requests_shed,"
-        "e2e_latency_p99,cycles_degraded,fabric,bottleneck,error\n";
+  os << "point,scheme,benchmark";
+  for (const char* name : kCsvMetrics) os << ',' << name;
+  os << ",fabric,bottleneck,error\n";
   for (const SweepCell& c : cells) {
-    const Metrics& m = c.metrics;
+    os << csv_escape(c.point) << ',' << csv_escape(c.scheme) << ','
+       << csv_escape(c.benchmark);
+    for (const char* name : kCsvMetrics) {
+      // Each kind streams natively: u64 rows stay integers.
+      std::visit([&os](const auto& v) { os << ',' << v; },
+                 find_metric_field(name)->get(c.metrics));
+    }
     const std::string error =
         c.ok() ? std::string{} : c.error_kind + ": " + c.error;
-    os << csv_escape(c.point) << ',' << csv_escape(c.scheme) << ','
-       << csv_escape(c.benchmark) << ',' << m.cycles << ',' << m.ipc << ','
-       << m.request_latency << ',' << m.reply_latency << ','
-       << m.mc_stall_cycles << ',' << m.reply_injection_util << ','
-       << m.reply_internal_util << ',' << m.l1_hit_rate << ','
-       << m.l2_hit_rate << ',' << m.dram_row_hit_rate << ','
-       << m.energy.total_nj() << ',' << m.reply_latency_p50 << ','
-       << m.reply_latency_p95 << ',' << m.reply_latency_p99 << ','
-       << m.reply_latency_p999 << ',' << m.offered_rate << ','
-       << m.goodput << ',' << m.requests_shed << ','
-       << m.e2e_latency_p99 << ','
-       << (m.cycles_throttled + m.cycles_shedding) << ','
-       << csv_escape(c.fabric) << ',' << csv_escape(m.bottleneck) << ','
-       << csv_escape(error) << '\n';
+    os << ',' << csv_escape(c.fabric) << ','
+       << csv_escape(c.metrics.bottleneck) << ',' << csv_escape(error) << '\n';
   }
   return os.str();
 }

@@ -20,18 +20,17 @@ namespace arinoc::exec {
 
 ExecOptions options_from_env(bool default_cache) {
   ExecOptions opts;
-  if (const char* jobs = std::getenv("ARINOC_JOBS")) {
-    opts.jobs = static_cast<unsigned>(std::strtoul(jobs, nullptr, 10));
+  if (const auto jobs = env_uint("ARINOC_JOBS", UINT32_MAX)) {
+    opts.jobs = static_cast<unsigned>(*jobs);
   }
-  if (const char* threads = std::getenv("ARINOC_THREADS")) {
-    opts.threads = static_cast<unsigned>(std::strtoul(threads, nullptr, 10));
+  if (const auto threads = env_uint("ARINOC_THREADS", UINT32_MAX)) {
+    opts.threads = static_cast<unsigned>(*threads);
   }
   opts.cache_enabled = default_cache;
   if (std::getenv("ARINOC_NO_CACHE") != nullptr) opts.cache_enabled = false;
   if (const char* dir = std::getenv("ARINOC_CACHE_DIR")) opts.cache_dir = dir;
-  if (const char* iv = std::getenv("ARINOC_SAMPLE_INTERVAL")) {
-    opts.sample_interval =
-        static_cast<Cycle>(std::strtoull(iv, nullptr, 10));
+  if (const auto iv = env_uint("ARINOC_SAMPLE_INTERVAL", UINT64_MAX)) {
+    opts.sample_interval = *iv;
   }
   if (const char* dir = std::getenv("ARINOC_TELEMETRY_DIR")) {
     opts.telemetry_dir = dir;

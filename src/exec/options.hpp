@@ -13,10 +13,11 @@
 //                        (setting it turns attribution on for every cell)
 //
 // Environment fallbacks (read first, flags override): ARINOC_JOBS,
-// ARINOC_THREADS,
-// ARINOC_NO_CACHE (any value), ARINOC_CACHE_DIR, ARINOC_SAMPLE_INTERVAL,
-// ARINOC_TELEMETRY_DIR, ARINOC_ATTR_DIR. Progress/ETA reporting defaults to
-// on when stderr is a terminal.
+// ARINOC_THREADS, ARINOC_NO_CACHE (any value), ARINOC_CACHE_DIR,
+// ARINOC_SAMPLE_INTERVAL, ARINOC_TELEMETRY_DIR, ARINOC_ATTR_DIR. The numeric
+// ones are parsed as strictly as the flags: a malformed value exits 2 with
+// a message naming the variable. Progress/ETA reporting defaults to on when
+// stderr is a terminal.
 #pragma once
 
 #include "exec/runner.hpp"

@@ -1,5 +1,6 @@
 #include "exec/result_cache.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -7,15 +8,14 @@
 #include <functional>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 
+#include "common/numparse.hpp"
 #include "common/version.hpp"
+#include "core/metrics_schema.hpp"
 
 namespace arinoc::exec {
 
 namespace {
-
-constexpr const char kFormatTag[] = "arinoc-cache-v1";
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -24,10 +24,49 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-std::string fmt_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
+/// Entry format tag: a hash of the stored rows' (name, kind) sequence, so
+/// adding, dropping, renaming or retyping a Metrics row turns every entry
+/// written under the old table into a miss.
+const std::string& format_tag() {
+  static const std::string tag = [] {
+    std::string layout;
+    for (const MetricField& f : metric_fields()) {
+      if (!f.stored()) continue;
+      layout += f.name + (" " + std::to_string(static_cast<int>(f.kind)));
+      layout += '\n';
+    }
+    return "arinoc-cache-" + hex64(fnv1a64(layout));
+  }();
+  return tag;
+}
+
+/// Lossless text form of one value: numbers in decimal (doubles in their
+/// shortest round-trip spelling), strings verbatim. A string holding a
+/// newline would break its entry, which then loads as a miss.
+std::string encode(const MetricValue& v) {
+  if (const auto* s = std::get_if<std::string>(&v)) return *s;
+  if (const auto* b = std::get_if<bool>(&v)) return *b ? "1" : "0";
+  if (const auto* d = std::get_if<double>(&v)) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), *d).ptr);
+  }
+  return std::to_string(std::get<std::uint64_t>(v));
+}
+
+/// Inverse of encode() for a row of `kind`; nullopt on anything encode()
+/// could not have written (a sign, junk, overflow, a non-finite real).
+std::optional<MetricValue> decode(MetricKind kind, std::string_view text) {
+  std::string why;
+  if (kind == MetricKind::kString) return std::string(text);
+  if (kind == MetricKind::kDouble) {
+    if (const auto v = parse_real(text, &why)) return *v;
+    return std::nullopt;
+  }
+  const bool flag = kind == MetricKind::kBool;
+  const auto v = parse_uint(text, flag ? 1 : UINT64_MAX, &why);
+  if (!v) return std::nullopt;
+  if (flag) return *v != 0;
+  return *v;
 }
 
 }  // namespace
@@ -63,222 +102,28 @@ std::string cache_key_string(const Config& cfg, std::string_view scheme,
 }
 
 std::string serialize_metrics(const Metrics& m) {
-  std::ostringstream os;
-  auto u = [&os](const char* name, std::uint64_t v) {
-    os << name << ' ' << v << '\n';
-  };
-  auto d = [&os](const char* name, double v) {
-    os << name << ' ' << fmt_double(v) << '\n';
-  };
-  u("cycles", m.cycles);
-  u("warp_instructions", m.warp_instructions);
-  d("ipc", m.ipc);
-  d("request_latency", m.request_latency);
-  d("reply_latency", m.reply_latency);
-  d("request_latency_p50", m.request_latency_p50);
-  d("request_latency_p95", m.request_latency_p95);
-  d("request_latency_p99", m.request_latency_p99);
-  d("reply_latency_p50", m.reply_latency_p50);
-  d("reply_latency_p95", m.reply_latency_p95);
-  d("reply_latency_p99", m.reply_latency_p99);
-  u("mc_stall_cycles", m.mc_stall_cycles);
-  for (int i = 0; i < 4; ++i) {
-    u(("flits_by_type" + std::to_string(i)).c_str(), m.flits_by_type[i]);
-    u(("packets_by_type" + std::to_string(i)).c_str(), m.packets_by_type[i]);
-    d(("latency_p99_by_type" + std::to_string(i)).c_str(),
-      m.latency_p99_by_type[i]);
+  std::string out;
+  for (const MetricField& f : metric_fields()) {
+    if (f.stored()) out += f.name + (' ' + encode(f.get(m))) + '\n';
   }
-  d("reply_injection_util", m.reply_injection_util);
-  d("reply_internal_util", m.reply_internal_util);
-  d("request_injection_util", m.request_injection_util);
-  d("request_internal_util", m.request_internal_util);
-  d("ni_occupancy_pkts", m.ni_occupancy_pkts);
-  d("l1_hit_rate", m.l1_hit_rate);
-  d("l2_hit_rate", m.l2_hit_rate);
-  d("dram_row_hit_rate", m.dram_row_hit_rate);
-  u("flits_corrupted", m.flits_corrupted);
-  u("packets_corrupted", m.packets_corrupted);
-  u("packets_retransmitted", m.packets_retransmitted);
-  u("packets_recovered", m.packets_recovered);
-  u("packets_lost", m.packets_lost);
-  u("duplicates_dropped", m.duplicates_dropped);
-  u("credits_lost", m.credits_lost);
-  u("link_stall_events", m.link_stall_events);
-  u("port_failures", m.port_failures);
-  u("requests_offered", m.requests_offered);
-  u("requests_completed", m.requests_completed);
-  u("requests_shed", m.requests_shed);
-  u("requests_deferred", m.requests_deferred);
-  u("queue_drops", m.queue_drops);
-  d("offered_rate", m.offered_rate);
-  d("goodput", m.goodput);
-  d("e2e_latency_p50", m.e2e_latency_p50);
-  d("e2e_latency_p99", m.e2e_latency_p99);
-  d("e2e_latency_p999", m.e2e_latency_p999);
-  d("request_latency_p999", m.request_latency_p999);
-  d("reply_latency_p999", m.reply_latency_p999);
-  u("degrade_transitions", m.degrade_transitions);
-  u("cycles_normal", m.cycles_normal);
-  u("cycles_throttled", m.cycles_throttled);
-  u("cycles_shedding", m.cycles_shedding);
-  u("watchdog_pre_trips", m.watchdog_pre_trips);
-  u("act_noc_link_flits", m.activity.noc_link_flits);
-  u("act_noc_buffer_ops", m.activity.noc_buffer_ops);
-  u("act_noc_crossbar", m.activity.noc_crossbar);
-  u("act_noc_retx_flits", m.activity.noc_retx_flits);
-  u("act_dram_activates", m.activity.dram_activates);
-  u("act_dram_accesses", m.activity.dram_accesses);
-  u("act_l2_accesses", m.activity.l2_accesses);
-  u("act_l1_accesses", m.activity.l1_accesses);
-  u("act_core_instructions", m.activity.core_instructions);
-  u("act_cycles", m.activity.cycles);
-  d("energy_dynamic_noc_nj", m.energy.dynamic_noc_nj);
-  d("energy_dynamic_mem_nj", m.energy.dynamic_mem_nj);
-  d("energy_dynamic_core_nj", m.energy.dynamic_core_nj);
-  d("energy_static_nj", m.energy.static_nj);
-  u("attr_enabled", m.attr_enabled ? 1 : 0);
-  for (int i = 0; i < 6; ++i) {
-    d(("attr_request_share" + std::to_string(i)).c_str(),
-      m.request_stage_share[static_cast<std::size_t>(i)]);
-    d(("attr_reply_share" + std::to_string(i)).c_str(),
-      m.reply_stage_share[static_cast<std::size_t>(i)]);
-  }
-  u("attr_violations", m.attr_violations);
-  // The bottleneck label can hold spaces; hex-encode it so the token-based
-  // parser stays one `name value` pair per line ("-" = empty).
-  os << "bottleneck_hex ";
-  if (m.bottleneck.empty()) {
-    os << '-';
-  } else {
-    static const char* kHex = "0123456789abcdef";
-    for (const unsigned char c : m.bottleneck) {
-      os << kHex[c >> 4] << kHex[c & 0xF];
-    }
-  }
-  os << '\n';
-  return os.str();
+  return out;
 }
 
 std::optional<Metrics> deserialize_metrics(const std::string& text) {
+  // Rows come once each, in table order (the format tag pins it), so an
+  // unknown, repeated, missing or moved field is malformed.
   Metrics m;
   std::istringstream is(text);
-  std::string name, value;
-  std::size_t fields = 0;
-  auto want_u = [&](const char* key, auto& out) {
-    if (name != key) return false;
-    out = static_cast<std::remove_reference_t<decltype(out)>>(
-        std::strtoull(value.c_str(), nullptr, 10));
-    ++fields;
-    return true;
-  };
-  auto want_d = [&](const char* key, double& out) {
-    if (name != key) return false;
-    out = std::strtod(value.c_str(), nullptr);  // Accepts hexfloat.
-    ++fields;
-    return true;
-  };
-  while (is >> name >> value) {
-    bool matched =
-        want_u("cycles", m.cycles) ||
-        want_u("warp_instructions", m.warp_instructions) ||
-        want_d("ipc", m.ipc) || want_d("request_latency", m.request_latency) ||
-        want_d("reply_latency", m.reply_latency) ||
-        want_d("request_latency_p50", m.request_latency_p50) ||
-        want_d("request_latency_p95", m.request_latency_p95) ||
-        want_d("request_latency_p99", m.request_latency_p99) ||
-        want_d("reply_latency_p50", m.reply_latency_p50) ||
-        want_d("reply_latency_p95", m.reply_latency_p95) ||
-        want_d("reply_latency_p99", m.reply_latency_p99) ||
-        want_u("mc_stall_cycles", m.mc_stall_cycles) ||
-        want_d("reply_injection_util", m.reply_injection_util) ||
-        want_d("reply_internal_util", m.reply_internal_util) ||
-        want_d("request_injection_util", m.request_injection_util) ||
-        want_d("request_internal_util", m.request_internal_util) ||
-        want_d("ni_occupancy_pkts", m.ni_occupancy_pkts) ||
-        want_d("l1_hit_rate", m.l1_hit_rate) ||
-        want_d("l2_hit_rate", m.l2_hit_rate) ||
-        want_d("dram_row_hit_rate", m.dram_row_hit_rate) ||
-        want_u("flits_corrupted", m.flits_corrupted) ||
-        want_u("packets_corrupted", m.packets_corrupted) ||
-        want_u("packets_retransmitted", m.packets_retransmitted) ||
-        want_u("packets_recovered", m.packets_recovered) ||
-        want_u("packets_lost", m.packets_lost) ||
-        want_u("duplicates_dropped", m.duplicates_dropped) ||
-        want_u("credits_lost", m.credits_lost) ||
-        want_u("link_stall_events", m.link_stall_events) ||
-        want_u("port_failures", m.port_failures) ||
-        want_u("requests_offered", m.requests_offered) ||
-        want_u("requests_completed", m.requests_completed) ||
-        want_u("requests_shed", m.requests_shed) ||
-        want_u("requests_deferred", m.requests_deferred) ||
-        want_u("queue_drops", m.queue_drops) ||
-        want_d("offered_rate", m.offered_rate) ||
-        want_d("goodput", m.goodput) ||
-        want_d("e2e_latency_p50", m.e2e_latency_p50) ||
-        want_d("e2e_latency_p99", m.e2e_latency_p99) ||
-        want_d("e2e_latency_p999", m.e2e_latency_p999) ||
-        want_d("request_latency_p999", m.request_latency_p999) ||
-        want_d("reply_latency_p999", m.reply_latency_p999) ||
-        want_u("degrade_transitions", m.degrade_transitions) ||
-        want_u("cycles_normal", m.cycles_normal) ||
-        want_u("cycles_throttled", m.cycles_throttled) ||
-        want_u("cycles_shedding", m.cycles_shedding) ||
-        want_u("watchdog_pre_trips", m.watchdog_pre_trips) ||
-        want_u("act_noc_link_flits", m.activity.noc_link_flits) ||
-        want_u("act_noc_buffer_ops", m.activity.noc_buffer_ops) ||
-        want_u("act_noc_crossbar", m.activity.noc_crossbar) ||
-        want_u("act_noc_retx_flits", m.activity.noc_retx_flits) ||
-        want_u("act_dram_activates", m.activity.dram_activates) ||
-        want_u("act_dram_accesses", m.activity.dram_accesses) ||
-        want_u("act_l2_accesses", m.activity.l2_accesses) ||
-        want_u("act_l1_accesses", m.activity.l1_accesses) ||
-        want_u("act_core_instructions", m.activity.core_instructions) ||
-        want_u("act_cycles", m.activity.cycles) ||
-        want_d("energy_dynamic_noc_nj", m.energy.dynamic_noc_nj) ||
-        want_d("energy_dynamic_mem_nj", m.energy.dynamic_mem_nj) ||
-        want_d("energy_dynamic_core_nj", m.energy.dynamic_core_nj) ||
-        want_d("energy_static_nj", m.energy.static_nj);
-    if (!matched && name == "attr_enabled") {
-      m.attr_enabled = value != "0";
-      ++fields;
-      matched = true;
-    }
-    if (!matched) matched = want_u("attr_violations", m.attr_violations);
-    if (!matched && name == "bottleneck_hex") {
-      m.bottleneck.clear();
-      if (value != "-") {
-        if (value.size() % 2 != 0) return std::nullopt;
-        for (std::size_t i = 0; i + 1 < value.size(); i += 2) {
-          const char hx[3] = {value[i], value[i + 1], 0};
-          m.bottleneck += static_cast<char>(std::strtoul(hx, nullptr, 16));
-        }
-      }
-      ++fields;
-      matched = true;
-    }
-    if (!matched) {
-      for (int i = 0; i < 4 && !matched; ++i) {
-        matched = want_u(("flits_by_type" + std::to_string(i)).c_str(),
-                         m.flits_by_type[i]) ||
-                  want_u(("packets_by_type" + std::to_string(i)).c_str(),
-                         m.packets_by_type[i]) ||
-                  want_d(("latency_p99_by_type" + std::to_string(i)).c_str(),
-                         m.latency_p99_by_type[i]);
-      }
-    }
-    if (!matched) {
-      for (int i = 0; i < 6 && !matched; ++i) {
-        matched =
-            want_d(("attr_request_share" + std::to_string(i)).c_str(),
-                   m.request_stage_share[static_cast<std::size_t>(i)]) ||
-            want_d(("attr_reply_share" + std::to_string(i)).c_str(),
-                   m.reply_stage_share[static_cast<std::size_t>(i)]);
-      }
-    }
-    if (!matched) return std::nullopt;  // Unknown field: stale layout.
+  std::string line;
+  for (const MetricField& f : metric_fields()) {
+    if (!f.stored()) continue;
+    const std::string key = f.name + std::string(" ");
+    if (!std::getline(is, line) || !line.starts_with(key)) return std::nullopt;
+    const auto value = decode(f.kind, line.substr(key.size()));
+    if (!value) return std::nullopt;
+    f.set(m, *value);
   }
-  // 63 scalar fields + 24 array slots; anything short is a truncated entry.
-  if (fields != 87) return std::nullopt;
+  if (std::getline(is, line)) return std::nullopt;  // Trailing junk.
   return m;
 }
 
@@ -305,7 +150,7 @@ std::optional<Metrics> ResultCache::load(
   std::istringstream header(text);
   std::string tag;
   std::size_t key_len = 0, val_len = 0;
-  if (!std::getline(header, tag) || tag != kFormatTag) return std::nullopt;
+  if (!std::getline(header, tag) || tag != format_tag()) return std::nullopt;
   if (!(header >> key_len >> val_len)) return std::nullopt;
   header.ignore(1);  // The newline after the counts.
   const auto body = static_cast<std::size_t>(header.tellg());
@@ -328,7 +173,7 @@ void ResultCache::store(const std::string& key_material,
 
   const std::string payload = serialize_metrics(m);
   std::ostringstream os;
-  os << kFormatTag << '\n'
+  os << format_tag() << '\n'
      << key_material.size() << ' ' << payload.size() << '\n'
      << key_material << payload;
 

@@ -2,10 +2,12 @@
 //
 // A cell is keyed by FNV-1a-64 over (canonicalized Config, scheme name,
 // benchmark name, reply-fabric variant, library version); the value is the
-// cell's full Metrics record, serialized losslessly (integers in decimal,
-// doubles in hexfloat), so a cache hit reproduces byte-identical CSV/JSON
-// output. Entries carry the full key material and are verified on load, so
-// a 64-bit hash collision degrades to a miss, never a wrong result.
+// cell's full Metrics record, one `name value` line per stored row of the
+// Metrics field table (core/metrics_schema.hpp), losslessly, so a cache hit
+// reproduces byte-identical CSV/JSON output. Anything suspect is a miss,
+// never a wrong result: the format tag hashes the table's (name, kind)
+// sequence, entries carry the full key material (a 64-bit hash collision
+// misses), and every row must appear once, in order, and parse strictly.
 //
 // Writes go through a temp file + rename: concurrent writers (pool workers,
 // or two sweeps sharing a directory) can only ever publish complete entries.
@@ -42,7 +44,8 @@ std::string fabric_cache_tag(const Config& cfg);
 
 /// Lossless flat-text Metrics serialization (the cache value format).
 std::string serialize_metrics(const Metrics& m);
-/// Inverse of serialize_metrics; nullopt on malformed/unknown-layout input.
+/// Inverse of serialize_metrics; nullopt on an unknown, duplicated, missing
+/// or malformed field.
 std::optional<Metrics> deserialize_metrics(const std::string& text);
 
 class ResultCache {

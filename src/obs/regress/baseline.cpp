@@ -1,22 +1,25 @@
 #include "obs/regress/baseline.hpp"
 
+#include <cassert>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/metrics_schema.hpp"
 #include "obs/regress/json.hpp"
 
 namespace arinoc::obs::regress {
 
 namespace {
 
-/// Tracked-metric comparison policies. Tolerances are "noise-aware": exact
-/// for integer-derived counts (the simulator is deterministic), tight for
-/// means, and progressively looser toward the tail percentiles — a p99.9
-/// moves on far fewer samples than a p50, so an equal tolerance would either
-/// mask mean regressions or cry wolf on tails.
+/// The tracked metrics in snapshot order, each a row of the Metrics field
+/// table (core/metrics_schema.hpp), with its comparison policy. Tolerances
+/// are "noise-aware": exact for integer-derived counts (the simulator is
+/// deterministic), tight for means, and progressively looser toward the
+/// tail percentiles — a p99.9 moves on far fewer samples than a p50, so an
+/// equal tolerance would either mask mean regressions or cry wolf on tails.
 constexpr MetricPolicy kPolicies[] = {
     {"cycles", MetricDirection::kNeutral, 0.0},
     {"warp_instructions", MetricDirection::kHigherBetter, 0.0},
@@ -79,47 +82,17 @@ MetricPolicy metric_policy(const std::string& name) {
 std::vector<std::pair<std::string, double>> snapshot_metrics(
     const Metrics& m) {
   std::vector<std::pair<std::string, double>> out;
-  auto add = [&out](const char* name, double v) {
-    out.emplace_back(name, v);
-  };
-  add("cycles", static_cast<double>(m.cycles));
-  add("warp_instructions", static_cast<double>(m.warp_instructions));
-  add("ipc", m.ipc);
-  add("request_latency", m.request_latency);
-  add("reply_latency", m.reply_latency);
-  add("request_latency_p50", m.request_latency_p50);
-  add("request_latency_p95", m.request_latency_p95);
-  add("request_latency_p99", m.request_latency_p99);
-  add("request_latency_p999", m.request_latency_p999);
-  add("reply_latency_p50", m.reply_latency_p50);
-  add("reply_latency_p95", m.reply_latency_p95);
-  add("reply_latency_p99", m.reply_latency_p99);
-  add("reply_latency_p999", m.reply_latency_p999);
-  add("e2e_latency_p50", m.e2e_latency_p50);
-  add("e2e_latency_p99", m.e2e_latency_p99);
-  add("e2e_latency_p999", m.e2e_latency_p999);
-  add("mc_stall_cycles", static_cast<double>(m.mc_stall_cycles));
-  add("energy_total_nj", m.energy.total_nj());
-  add("goodput", m.goodput);
-  add("offered_rate", m.offered_rate);
-  // Recovery rate: fraction of retransmitted packets that made it. 1.0 when
-  // no faults fired — "nothing to recover" is a perfect record, and keeping
-  // the metric present means a fault-campaign cell can't silently drop it.
-  add("recovery_rate",
-      m.packets_retransmitted > 0
-          ? static_cast<double>(m.packets_recovered) /
-                static_cast<double>(m.packets_retransmitted)
-          : 1.0);
+  for (const MetricPolicy& p : kPolicies) {
+    const MetricField* f = find_metric_field(p.name);
+    assert(f != nullptr && "tracked metric missing from the field table");
+    out.emplace_back(p.name, metric_number(f->get(m)));
+  }
+  // Attribution runs also track the per-stage shares (its real rows).
   if (m.attr_enabled) {
-    static const char* kStageKeys[6] = {"ni_queue", "vc_wait", "sw_wait",
-                                        "link",     "eject",   "retx"};
-    for (int i = 0; i < 6; ++i) {
-      out.emplace_back(std::string("attr_request_") + kStageKeys[i],
-                       m.request_stage_share[static_cast<std::size_t>(i)]);
-    }
-    for (int i = 0; i < 6; ++i) {
-      out.emplace_back(std::string("attr_reply_") + kStageKeys[i],
-                       m.reply_stage_share[static_cast<std::size_t>(i)]);
+    for (const MetricField& f : metric_fields()) {
+      if ((f.flags & kMetricAttr) && f.kind == MetricKind::kDouble) {
+        out.emplace_back(f.name, metric_number(f.get(m)));
+      }
     }
   }
   return out;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -147,6 +148,33 @@ TEST(Config, RejectsZeroMcs) {
   Config cfg;
   cfg.num_mcs = 0;
   EXPECT_NE(cfg.validate(), "");
+}
+
+TEST(Config, RejectsNonFiniteReals) {
+  // NaN passes every range comparison, so each real needs its own check.
+  const std::pair<const char*, double Config::*> reals[] = {
+      {"mem_clock_ratio", &Config::mem_clock_ratio},
+      {"fault_corrupt_rate", &Config::fault_corrupt_rate},
+      {"fault_link_stall_rate", &Config::fault_link_stall_rate},
+      {"fault_port_fail_rate", &Config::fault_port_fail_rate},
+      {"fault_credit_loss_rate", &Config::fault_credit_loss_rate},
+      {"pace_scale", &Config::pace_scale},
+      {"ol_write_frac", &Config::ol_write_frac},
+      {"adm_rate", &Config::adm_rate},
+      {"adm_throttle_factor", &Config::adm_throttle_factor},
+      {"adm_throttle_occ", &Config::adm_throttle_occ},
+      {"adm_shed_occ", &Config::adm_shed_occ},
+      {"adm_recover_occ", &Config::adm_recover_occ},
+  };
+  for (const auto& [name, field] : reals) {
+    for (const double bad : {std::nan(""), HUGE_VAL}) {
+      Config cfg;
+      cfg.*field = bad;
+      EXPECT_NE(cfg.validate().find(std::string(name) + " must be finite"),
+                std::string::npos)
+          << name << " = " << bad;
+    }
+  }
 }
 
 TEST(Config, Table1MentionsKeyParameters) {

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -161,7 +163,7 @@ TEST(ExecCache, HitMissAndInvalidateOnConfigChange) {
   ASSERT_EQ(second.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_TRUE(second[i].from_cache);
-    // Hexfloat serialization makes hits lossless: bit-identical metrics.
+    // Serialization is lossless: hits give bit-identical metrics.
     EXPECT_EQ(exec::serialize_metrics(second[i].metrics),
               exec::serialize_metrics(first[i].metrics));
   }
@@ -241,13 +243,96 @@ TEST(ResultCache, MetricsSerializationRoundTripsLosslessly) {
   const auto back = exec::deserialize_metrics(text);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cycles, 12345u);
-  EXPECT_EQ(back->ipc, 0.1);  // Exact: hexfloat round-trip.
+  EXPECT_EQ(back->ipc, 0.1);  // Exact: shortest round-trip spelling.
   EXPECT_EQ(back->request_latency, 1e-9);
   EXPECT_EQ(back->flits_by_type[2], 42u);
   EXPECT_EQ(exec::serialize_metrics(*back), text);
 
   EXPECT_FALSE(exec::deserialize_metrics("not a metrics record").has_value());
   EXPECT_FALSE(exec::deserialize_metrics("").has_value());
+}
+
+// ---- Strict entry parsing: anything serialize_metrics could not have
+// written is a miss, never a silently zeroed or wrapped field. ----
+
+/// serialize_metrics(m) for a record with a few non-zero fields.
+std::string sample_record() {
+  Metrics m;
+  m.cycles = 8000;
+  m.ipc = 1.5;
+  m.bottleneck = "reply ni_queue at mc21 61.0%";
+  return exec::serialize_metrics(m);
+}
+
+/// `text` with the line for field `name` replaced by `replacement` lines.
+std::string with_line(const std::string& text, const std::string& name,
+                      const std::string& replacement) {
+  const std::size_t at = text.find(name + " ");
+  EXPECT_TRUE(at == 0 || (at != std::string::npos && text[at - 1] == '\n'));
+  const std::size_t end = text.find('\n', at) + 1;
+  return text.substr(0, at) + replacement + text.substr(end);
+}
+
+TEST(ResultCache, RejectsDuplicatedFieldEvenWhenTheCountMatches) {
+  const std::string text = sample_record();
+  // Drop `ipc` and repeat `cycles`: the line count is unchanged.
+  EXPECT_FALSE(exec::deserialize_metrics(
+                   with_line(text, "ipc", "") + "cycles 8000\n")
+                   .has_value());
+  EXPECT_FALSE(exec::deserialize_metrics(text + "cycles 8000\n").has_value());
+}
+
+TEST(ResultCache, RejectsMissingField) {
+  EXPECT_FALSE(exec::deserialize_metrics(with_line(sample_record(), "ipc", ""))
+                   .has_value());
+}
+
+TEST(ResultCache, RejectsNegativeField) {
+  const std::string text = sample_record();
+  EXPECT_FALSE(exec::deserialize_metrics(
+                   with_line(text, "cycles", "cycles -1\n"))
+                   .has_value());
+  EXPECT_FALSE(
+      exec::deserialize_metrics(with_line(text, "ipc", "ipc -1.5\n"))
+          .has_value());
+}
+
+TEST(ResultCache, RejectsJunkSuffixedField) {
+  const std::string text = sample_record();
+  for (const char* bad :
+       {"cycles 10x\n", "cycles 10 x\n", "cycles \n", "ipc 1.5z\n",
+        "ipc nan\n", "ipc 0x1p+0\n", "attr_enabled 2\n"}) {
+    const std::string line = bad;
+    const std::string name = line.substr(0, line.find(' '));
+    EXPECT_FALSE(exec::deserialize_metrics(with_line(text, name, line))
+                     .has_value())
+        << line;
+  }
+  ASSERT_TRUE(exec::deserialize_metrics(text).has_value());
+}
+
+TEST(ResultCache, EntryWithTheOldFormatTagLoadsAsMiss) {
+  const auto dir = fresh_cache_dir("arinoc_cache_old_tag");
+  const exec::ResultCache cache(dir.string());
+  const std::string key = "version=test\nscheme=Ada-ARI\n";
+  Metrics m;
+  m.cycles = 8000;
+  cache.store(key, m);
+  ASSERT_TRUE(cache.load(key).has_value());
+
+  // Rewrite the stored entry's tag line as the pre-table layout did.
+  std::filesystem::path entry;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) entry = e;
+  std::string text;
+  {
+    std::ifstream in(entry, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(text.rfind("arinoc-cache-", 0), 0u);
+  text = "arinoc-cache-v1" + text.substr(text.find('\n'));
+  std::ofstream(entry, std::ios::binary | std::ios::trunc) << text;
+  EXPECT_FALSE(cache.load(key).has_value());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ResultCache, KeyStringCoversSchemeBenchmarkFabricAndConfig) {
