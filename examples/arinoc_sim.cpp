@@ -76,7 +76,8 @@ constexpr const char kUsage[] = R"(usage:
     --trace                 record the packet-lifecycle event trace
     --trace-out <file>      Chrome trace-event JSON path (implies
                             --trace; default: arinoc-trace.json)
-    --trace-capacity <n>    trace ring size in events (default: 65536)
+    --trace-capacity <n>    trace ring size in events (default: 65536,
+                            at most 16777216)
     --sample-interval <n>   telemetry sample every n cycles (0 = off)
     --sample-out <file>     telemetry JSONL path (needs --sample-interval)
     --counters-out <file>   dump the counter registry as JSON after the
@@ -263,6 +264,9 @@ void print_human(const Metrics& m, bool faults, bool serving) {
   std::printf("%s", t.to_string().c_str());
 }
 
+/// --trace-capacity ceiling: 2^24 events is a 384 MiB ring (24 B/event).
+constexpr std::uint64_t kMaxTraceCapacity = std::uint64_t{1} << 24;
+
 struct ObsOptions {
   bool trace = false;
   std::string trace_out;     ///< Defaults to "arinoc-trace.json" if tracing.
@@ -389,8 +393,8 @@ bool write_file(const std::string& path, const std::string& body) {
 /// Returns the process exit status; fills `m` and `breakdown` on success.
 int run_observed(GpgpuSim& sim, const ObsOptions& obs, Cycle sample_interval,
                  Metrics& m, std::string& breakdown) {
-  obs::PacketTracer tracer(obs.trace_capacity);
-  if (obs.trace) sim.attach_tracer(&tracer);
+  std::optional<obs::PacketTracer> tracer;
+  if (obs.trace) sim.attach_tracer(&tracer.emplace(obs.trace_capacity));
   if (sample_interval > 0) sim.enable_sampling(sample_interval);
   obs::LatencyAttributor attr(
       obs.attr_window > 0 ? obs.attr_window
@@ -415,8 +419,10 @@ int run_observed(GpgpuSim& sim, const ObsOptions& obs, Cycle sample_interval,
     const std::string path = obs.trace_out.empty()
                                  ? std::string("arinoc-trace.json")
                                  : obs.trace_out;
-    if (!write_file(path, tracer.to_chrome_json()) && status == 0) status = 1;
-    breakdown = tracer.breakdown_report();
+    if (!write_file(path, tracer->to_chrome_json()) && status == 0) {
+      status = 1;
+    }
+    breakdown = tracer->breakdown_report();
   }
   if (!obs.sample_out.empty() && sim.sampler() != nullptr) {
     if (!write_file(obs.sample_out, sim.sampler()->to_jsonl()) && status == 0)
@@ -485,7 +491,7 @@ int main(int argc, char** argv) {
       obs.trace = true;
       obs.trace_out = value();
     } else if (arg == "--trace-capacity") {
-      obs.trace_capacity = count_flag(arg, value());
+      obs.trace_capacity = count_flag(arg, value(), kMaxTraceCapacity);
     } else if (arg == "--sample-out") {
       obs.sample_out = value();
     } else if (arg == "--counters-out") {

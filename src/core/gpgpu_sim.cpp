@@ -311,6 +311,9 @@ void GpgpuSim::build(bool use_da2mesh, InstrSource* source) {
     team_ = std::make_unique<exec::ThreadTeam>(threads);
     request_net_->configure_domains(part_.get(), cfg.domain_epoch);
     reply_net_->configure_domains(part_.get(), cfg.domain_epoch);
+    // Attaching a packet observer switches back to serial stepping.
+    request_net_->set_domain_mode(true);
+    reply_net_->set_domain_mode(true);
   }
 
   // Activity-driven stepping: register every sleepable component in its
@@ -359,18 +362,6 @@ GpgpuSim::~GpgpuSim() = default;
 
 void GpgpuSim::step() {
   const Cycle now = cycle_;
-  // Domain mode can toggle per cycle: per-event observers (tracer,
-  // attributor) require the globally-ordered serial path; everything else
-  // steps the networks in parallel. set_domain_mode migrates in-flight
-  // ring and activity state both ways, so attaching or detaching an
-  // observer mid-run stays bit-identical with a pure serial run.
-  if (team_) {
-    const bool want = !tracer_ && !attr_;
-    if (want != request_net_->domains_enabled()) {
-      request_net_->set_domain_mode(want);
-      reply_net_->set_domain_mode(want);
-    }
-  }
   if (prof_) prof_->begin(obs::ProfPhase::kFrontend);
   // 0) Degradation FSM: one update per cycle from the reply-side pressure
   // signal (mean reply-NI queue occupancy as a fraction of capacity, plus
@@ -692,15 +683,25 @@ void GpgpuSim::reset_stats() {
 
 void GpgpuSim::attach_tracer(obs::PacketTracer* t) {
   tracer_ = t;
-  request_net_->set_tracer(t, 0);
-  reply_net_->set_tracer(t, 1);
+  update_observers();
 }
 
 void GpgpuSim::attach_attributor(obs::LatencyAttributor* a) {
   attr_ = a;
-  request_net_->set_attributor(a, 0);
-  reply_net_->set_attributor(a, 1);
   if (a) a->set_topology(&fabric_.graph());
+  update_observers();
+}
+
+void GpgpuSim::update_observers() {
+  // Observers need the serial router schedule; the switch is exact.
+  const bool observed = tracer_ || attr_;
+  Network* nets[2] = {request_net_.get(), reply_net_.get()};
+  for (std::uint8_t i = 0; i < 2; ++i) {
+    observers_[i] = obs::PacketObserver(i, &nets[i]->arena(), tracer_, attr_);
+    if (team_ && observed) nets[i]->set_domain_mode(false);
+    nets[i]->set_observer(observed ? &observers_[i] : nullptr);
+    if (team_ && !observed) nets[i]->set_domain_mode(true);
+  }
 }
 
 void GpgpuSim::enable_sampling(Cycle interval) {

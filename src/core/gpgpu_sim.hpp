@@ -22,6 +22,7 @@
 #include "noc/ni.hpp"
 #include "noc/overlay.hpp"
 #include "noc/topology.hpp"
+#include "obs/observer.hpp"
 #include "obs/sampler.hpp"
 #include "topo/fabric.hpp"
 #include "workloads/benchmark.hpp"
@@ -190,18 +191,17 @@ class GpgpuSim {
   const Watchdog* watchdog() const { return watchdog_.get(); }
 
   // ---- Observability (all optional; strictly inert when not enabled) ----
-  /// Attaches a packet-lifecycle tracer to both mesh networks and their
-  /// routers (null detaches). The DA2mesh overlay reply path carries no
-  /// trace hooks; with the overlay active only the request side is traced.
+  /// Attaches a packet-lifecycle tracer to both mesh networks (null
+  /// detaches). The DA2mesh overlay reply path carries no trace hooks; with
+  /// the overlay active only the request side is traced. Observed runs step
+  /// their networks serially.
   void attach_tracer(obs::PacketTracer* t);
-  obs::PacketTracer* tracer() const { return tracer_; }
 
-  /// Attaches a latency attributor to both networks and their routers (null
-  /// detaches) and hands it the fabric graph for labels/coordinates. The
-  /// DA2mesh overlay reply path has no hooks; with the overlay active only
-  /// the request side is attributed.
+  /// Attaches a latency attributor to both networks (null detaches) and
+  /// hands it the fabric graph for labels/coordinates. The DA2mesh overlay
+  /// reply path has no hooks; with the overlay active only the request side
+  /// is attributed.
   void attach_attributor(obs::LatencyAttributor* a);
-  obs::LatencyAttributor* attributor() const { return attr_; }
 
   /// Attaches the wall-clock self-profiler (null detaches). Host-side
   /// measurement only: simulated behaviour is identical either way.
@@ -231,6 +231,8 @@ class GpgpuSim {
   /// across spatial domains when the thread team is active and no
   /// per-event observer (tracer/attributor) forces the serial path.
   void step_networks(Cycle now);
+  /// Rebuilds the per-network observers and flips a threaded run's stepping.
+  void update_observers();
   /// Self-profiler: routers stepped by the network phase just finished.
   void record_router_wakes();
 
@@ -310,6 +312,7 @@ class GpgpuSim {
 
   obs::PacketTracer* tracer_ = nullptr;
   obs::LatencyAttributor* attr_ = nullptr;
+  std::array<obs::PacketObserver, 2> observers_;  ///< Request, reply.
   obs::SelfProfiler* prof_ = nullptr;
   std::unique_ptr<obs::TelemetrySampler> sampler_;
   ObsBaseline obs_base_;

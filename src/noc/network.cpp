@@ -3,8 +3,7 @@
 #include <cassert>
 #include <sstream>
 
-#include "obs/attr.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 
 namespace arinoc {
 
@@ -111,11 +110,7 @@ void Network::finish_packet(PacketId id, Cycle now) {
   Packet& pkt = arena_.at(id);
   pkt.ejected = now;
   stats_.record_delivery(pkt, now);
-  if (tracer_) {
-    tracer_->record(obs::TraceEventKind::kDeliver, tracer_net_, now, id,
-                    pkt.type, pkt.dest, -1);
-  }
-  if (attr_) attr_->on_deliver(attr_net_, id, now);
+  if (obs_) obs_->deliver(id, now);
   arena_.retire(id);
 }
 
@@ -133,20 +128,7 @@ void Network::step_router(NodeId n, Cycle now, std::size_t send_slot) {
       ev.flit.corrupted = true;
       ++stats_.flits_corrupted;
     }
-    if (tracer_) {
-      const PacketType type = arena_.at(ev.flit.pkt).type;
-      if (corrupted) {
-        tracer_->record(obs::TraceEventKind::kCorrupt, tracer_net_, now,
-                        ev.flit.pkt, type, n, of.out_dir);
-      }
-      if (ev.flit.head) {
-        tracer_->record(obs::TraceEventKind::kLinkHop, tracer_net_, now,
-                        ev.flit.pkt, type, n, of.out_dir);
-      }
-    }
-    if (attr_ && ev.flit.head) {
-      attr_->on_link_depart(attr_net_, ev.flit.pkt, n, of.out_dir, now);
-    }
+    if (obs_) obs_->link_depart(ev.flit, n, of.out_dir, corrupted, now);
     // Serdes (chiplet-boundary) links deliver extra cycles later; uniform
     // links land in send_slot itself, exactly as before.
     flit_ring_[slot_after(send_slot,
@@ -212,7 +194,7 @@ void Network::set_domain_mode(bool enabled) {
   if (enabled) {
     // Observer hook order is defined by the serial router schedule; the
     // caller must detach (or fall back to serial stepping) first.
-    assert(!tracer_ && !attr_);
+    assert(!obs_);
     // Distribute in-flight ring state by destination domain. The per-slot
     // scan is stable, so per-(dst, port) arrival order is preserved.
     for (std::size_t s = 0; s < flit_ring_.size(); ++s) {
@@ -442,9 +424,7 @@ void Network::step(Cycle now) {
   for (const FlitEvent& e : due_flits) {
     routers_[static_cast<std::size_t>(e.dst)]->receive_flit(e.in_dir, e.vc,
                                                             e.flit);
-    if (attr_ && e.flit.head) {
-      attr_->on_head_arrive(attr_net_, e.flit.pkt, e.dst, now);
-    }
+    if (obs_) obs_->head_arrive(e.flit, e.dst, now);
   }
   due_flits.clear();
   auto& due_credits = credit_ring_[ring_pos_];
@@ -513,12 +493,7 @@ RxOutcome Network::classify_rx(PacketId id, bool corrupted, Cycle now) {
 }
 
 void Network::drop_packet(PacketId id, Cycle now, RxOutcome why) {
-  if (tracer_) {
-    const Packet& pkt = arena_.at(id);
-    tracer_->record(obs::TraceEventKind::kDrop, tracer_net_, now, id, pkt.type,
-                    pkt.dest, static_cast<int>(why));
-  }
-  if (attr_) attr_->on_drop(attr_net_, id, now);
+  if (obs_) obs_->drop(id, why, now);
   switch (why) {
     case RxOutcome::kCorrupt:
       ++stats_.packets_corrupted;
@@ -542,16 +517,10 @@ std::uint64_t Network::credits_lost_total() const {
   return total;
 }
 
-void Network::set_tracer(obs::PacketTracer* t, std::uint8_t net) {
-  tracer_ = t;
-  tracer_net_ = net;
-  for (auto& r : routers_) r->set_tracer(t, net);
-}
-
-void Network::set_attributor(obs::LatencyAttributor* a, std::uint8_t net) {
-  attr_ = a;
-  attr_net_ = net;
-  for (auto& r : routers_) r->set_attributor(a, net);
+void Network::set_observer(obs::PacketObserver* o) {
+  assert(!(o && domains_on_) && "observers need serial stepping");
+  obs_ = o;
+  for (auto& r : routers_) r->set_observer(o);
 }
 
 std::uint64_t Network::internal_flits_total() const {

@@ -21,8 +21,7 @@
 namespace arinoc {
 
 namespace obs {
-class PacketTracer;
-class LatencyAttributor;
+class PacketObserver;
 }
 
 /// Per-network geometry/behaviour knobs derived from Config by the caller
@@ -94,8 +93,8 @@ class Network {
   void configure_domains(const topo::DomainPartition* part, bool epoch_slack);
   /// Toggles between the classic global rings and per-domain stepping,
   /// migrating all in-flight ring/activity state (both directions are
-  /// exact). Requires no tracer/attributor while enabled: observer hook
-  /// order is defined by the serial router schedule.
+  /// exact). Requires no observer while enabled: event order is defined by
+  /// the serial router schedule.
   void set_domain_mode(bool enabled);
   bool domains_enabled() const { return domains_on_; }
   std::uint32_t num_domains() const {
@@ -178,17 +177,10 @@ class Network {
     routers_[static_cast<std::size_t>(n)]->set_eject_hook(set, idx);
   }
 
-  /// Attaches a packet-lifecycle tracer to this network and all its routers
-  /// (null detaches). `net` tags the emitted events (0 = request, 1 = reply).
-  void set_tracer(obs::PacketTracer* t, std::uint8_t net);
-  obs::PacketTracer* tracer() const { return tracer_; }
-  std::uint8_t tracer_net() const { return tracer_net_; }
-
-  /// Attaches a latency attributor to this network and all its routers
-  /// (null detaches). Same observer contract as the tracer.
-  void set_attributor(obs::LatencyAttributor* a, std::uint8_t net);
-  obs::LatencyAttributor* attributor() const { return attr_; }
-  std::uint8_t attr_net() const { return attr_net_; }
+  /// Attaches the packet observer to the network and its routers (null
+  /// detaches; not owned). Requires domain mode off.
+  void set_observer(obs::PacketObserver* o);
+  obs::PacketObserver* observer() const { return obs_; }
 
   /// Routers stepped by the last step() (the self-profiler's wake
   /// statistic). Counted at the router drain, after this cycle's link
@@ -295,11 +287,7 @@ class Network {
   std::unique_ptr<RetransmitTracker> rtx_;
   // Credits destroyed per (node, dir, vc); sized only under credit loss.
   std::vector<std::uint32_t> credits_lost_;
-  // Observability (null unless attached; a pure observer).
-  obs::PacketTracer* tracer_ = nullptr;
-  std::uint8_t tracer_net_ = 0;
-  obs::LatencyAttributor* attr_ = nullptr;
-  std::uint8_t attr_net_ = 0;
+  obs::PacketObserver* obs_ = nullptr;  ///< Null unless a sink is attached.
   // Domain-parallel stepping (configure_domains / set_domain_mode).
   const topo::DomainPartition* part_ = nullptr;
   std::vector<Domain> dom_;

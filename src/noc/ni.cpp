@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/attr.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 
 namespace arinoc {
 
@@ -30,14 +29,7 @@ void InjectNi::finish_accept(PacketId id, Cycle now) {
   if (act_set_) act_set_->wake(act_idx_);
   net_->arena().at(id).created = now;
   if (RetransmitTracker* rtx = net_->retransmit()) rtx->on_accept(id, now);
-  if (obs::PacketTracer* t = net_->tracer()) {
-    t->record(obs::TraceEventKind::kNiEnqueue, net_->tracer_net(), now, id,
-              net_->arena().at(id).type, node_, -1);
-  }
-  if (obs::LatencyAttributor* a = net_->attributor()) {
-    a->on_ni_enqueue(net_->attr_net(), id, net_->arena().at(id).type, node_,
-                     now);
-  }
+  if (obs::PacketObserver* o = net_->observer()) o->ni_enqueue(id, node_, now);
 }
 
 // ---------------------------------------------------------------- Baseline
@@ -295,9 +287,8 @@ void EjectNi::cycle(Cycle now) {
     if (pkt.rx_flits == pkt.num_flits) {
       const bool corrupted = pkt.rx_corrupted;
       --pending_;
-      if (obs::PacketTracer* t = net_->tracer()) {
-        t->record(obs::TraceEventKind::kEject, net_->tracer_net(), now, f.pkt,
-                  pkt.type, node_, corrupted ? 1 : 0);
+      if (obs::PacketObserver* o = net_->observer()) {
+        o->reassembled(f.pkt, node_, corrupted, now);
       }
       // CRC check + duplicate suppression happen here, at reassembly.
       const RxOutcome outcome = net_->classify_rx(f.pkt, corrupted, now);

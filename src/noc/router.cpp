@@ -5,8 +5,7 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/attr.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 
 namespace arinoc {
 
@@ -96,12 +95,7 @@ void Router::inject_flit(std::uint32_t ip, std::uint32_t vc, const Flit& flit,
   if (act_set_) act_set_->wake(act_idx_);
   if (flit.head) {
     arena_->at(flit.pkt).injected = now;
-    if (tracer_) {
-      tracer_->record(obs::TraceEventKind::kInject, tracer_net_, now, flit.pkt,
-                      arena_->at(flit.pkt).type, params_.node,
-                      static_cast<int>(vc));
-    }
-    if (attr_) attr_->on_inject(attr_net_, flit.pkt, params_.node, now);
+    if (obs_) obs_->inject(flit.pkt, params_.node, static_cast<int>(vc), now);
   }
   ++injected_flit_count_;
 }
@@ -285,13 +279,8 @@ void Router::allocate_output_vc(Cycle now, std::size_t idx) {
     v.latched_priority = pkt.priority;
     v.state = InputVC::State::kActive;
     clear_bit(vc_waiting_.data(), idx);
-    if (tracer_) {
-      tracer_->record(obs::TraceEventKind::kVcAlloc, tracer_net_, now,
-                      v.buf.front().pkt, pkt.type, params_.node, got_port);
-    }
-    if (attr_) {
-      attr_->on_vc_alloc(attr_net_, v.buf.front().pkt, params_.node,
-                         got_port, got_vc, now);
+    if (obs_) {
+      obs_->vc_alloc(v.buf.front().pkt, params_.node, got_port, got_vc, now);
     }
   }
 }
@@ -349,9 +338,7 @@ void Router::switch_stage(Cycle now, std::vector<OutboundFlit>* out_flits,
       assert(!ejection_buf_.full());
       ejection_buf_.push(f);
       if (eject_set_) eject_set_->wake(eject_idx_);
-      if (attr_ && f.head) {
-        attr_->on_eject_start(attr_net_, f.pkt, params_.node, now);
-      }
+      if (obs_) obs_->eject_start(f, params_.node, now);
       ++ejected_flit_count_;
       ++out_flit_count_[static_cast<std::size_t>(num_dirs_)];
     } else {

@@ -28,8 +28,7 @@
 namespace arinoc {
 
 namespace obs {
-class PacketTracer;
-class LatencyAttributor;
+class PacketObserver;
 }
 
 struct RouterParams {
@@ -146,20 +145,8 @@ class Router {
     eject_idx_ = idx;
   }
 
-  /// Attaches a packet-lifecycle tracer (null detaches). The tracer is a
-  /// pure observer: hooks fire next to existing bookkeeping and never alter
-  /// router state. `net` tags events with the owning network (0 = request).
-  void set_tracer(obs::PacketTracer* t, std::uint8_t net) {
-    tracer_ = t;
-    tracer_net_ = net;
-  }
-
-  /// Attaches a latency attributor (null detaches). Same contract as the
-  /// tracer: pure observer, one null-pointer branch per hook when detached.
-  void set_attributor(obs::LatencyAttributor* a, std::uint8_t net) {
-    attr_ = a;
-    attr_net_ = net;
-  }
+  /// The owning network's packet observer (null detaches).
+  void set_observer(obs::PacketObserver* o) { obs_ = o; }
 
   // ---- Stats ----
   std::uint64_t flits_sent(int out_dir) const { return out_flit_count_[static_cast<std::size_t>(out_dir)]; }
@@ -274,10 +261,7 @@ class Router {
   };
   std::vector<WaitingVC> va_waiting_;
 
-  obs::PacketTracer* tracer_ = nullptr;
-  std::uint8_t tracer_net_ = 0;
-  obs::LatencyAttributor* attr_ = nullptr;
-  std::uint8_t attr_net_ = 0;
+  obs::PacketObserver* obs_ = nullptr;  ///< Null unless a sink is attached.
 
   // Activity-driven stepping (null hooks = always-on mode).
   ActiveSet* act_set_ = nullptr;

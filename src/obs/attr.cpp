@@ -40,6 +40,27 @@ void LatencyAttributor::add_loc(std::uint8_t net, AttrStage stage,
   attributed_net_[net] += cycles;
 }
 
+std::uint64_t LatencyAttributor::book(std::uint8_t net, Live& s,
+                                      AttrStage stage, NodeId node, int port,
+                                      int vc, Cycle now) {
+  const std::uint64_t d = now - s.last;
+  s.stage[static_cast<std::size_t>(stage)] += d;
+  add_loc(net, stage, node, port, vc, d);
+  s.last = now;
+  return d;
+}
+
+void LatencyAttributor::add_window(std::uint8_t net, const Live& s,
+                                   NodeId node, int port,
+                                   std::uint64_t sw_wait, Cycle now) {
+  const std::uint32_t window = window_index(now);
+  WinSums& w = win_cell(
+      window, win_key(window, net, node, port, s.pending_vc, s.type));
+  w.vc_wait += s.hop_vc_wait;
+  w.sw_wait += sw_wait;
+  ++w.count;
+}
+
 void LatencyAttributor::on_ni_enqueue(std::uint8_t net, PacketId id,
                                       PacketType type, NodeId node,
                                       Cycle now) {
@@ -58,132 +79,100 @@ void LatencyAttributor::on_ni_enqueue(std::uint8_t net, PacketId id,
 
 void LatencyAttributor::on_retransmit(std::uint8_t net, PacketId id,
                                       Cycle first_accept, Cycle now) {
-  Live* sp = find_live(net, id);
-  if (sp == nullptr) return;
-  Live& s = *sp;
+  Live* s = find_live(net, id);
+  if (s == nullptr) return;
   // The original incarnation was accepted at first_accept; everything up to
   // this re-acceptance — flight, drop, NACK/timeout, backoff — is recovery
   // overhead. Re-basing the origin keeps the sum telescoping to the true
   // end-to-end latency since the first attempt.
   const std::uint64_t overhead = now - first_accept;
-  s.origin = first_accept;
-  s.stage[static_cast<std::size_t>(AttrStage::kRetx)] += overhead;
-  add_loc(net, AttrStage::kRetx, s.src, -1, -1, overhead);
+  s->origin = first_accept;
+  s->stage[static_cast<std::size_t>(AttrStage::kRetx)] += overhead;
+  add_loc(net, AttrStage::kRetx, s->src, -1, -1, overhead);
 }
 
 void LatencyAttributor::on_inject(std::uint8_t net, PacketId id, NodeId node,
                                   Cycle now) {
-  Live* sp = find_live(net, id);
-  if (sp == nullptr) return;
-  Live& s = *sp;
-  const std::uint64_t d = now - s.last;
-  s.stage[static_cast<std::size_t>(AttrStage::kNiQueue)] += d;
-  add_loc(net, AttrStage::kNiQueue, node, -1, -1, d);
-  s.last = now;
-  s.node = node;
-  s.hop_vc_wait = 0;
-  s.pending_port = -1;
-  s.pending_vc = -1;
+  Live* s = find_live(net, id);
+  if (s == nullptr) return;
+  book(net, *s, AttrStage::kNiQueue, node, -1, -1, now);
+  s->node = node;
+  s->hop_vc_wait = 0;
+  s->pending_port = -1;
+  s->pending_vc = -1;
 }
 
 void LatencyAttributor::on_head_arrive(std::uint8_t net, PacketId id,
                                        NodeId node, Cycle now) {
-  Live* sp = find_live(net, id);
-  if (sp == nullptr) return;
-  Live& s = *sp;
-  const std::uint64_t d = now - s.last;
-  s.stage[static_cast<std::size_t>(AttrStage::kLink)] += d;
+  Live* s = find_live(net, id);
+  if (s == nullptr) return;
   // The wire the head just crossed is the (upstream node, output port) pair
   // granted at the previous router.
-  add_loc(net, AttrStage::kLink, s.node, s.pending_port, s.pending_vc, d);
-  s.last = now;
-  s.node = node;
-  s.hop_vc_wait = 0;
-  s.pending_port = -1;
-  s.pending_vc = -1;
+  book(net, *s, AttrStage::kLink, s->node, s->pending_port, s->pending_vc, now);
+  s->node = node;
+  s->hop_vc_wait = 0;
+  s->pending_port = -1;
+  s->pending_vc = -1;
 }
 
 void LatencyAttributor::on_vc_alloc(std::uint8_t net, PacketId id,
                                     NodeId node, int out_port, int out_vc,
                                     Cycle now) {
-  Live* sp = find_live(net, id);
-  if (sp == nullptr) return;
-  Live& s = *sp;
-  const std::uint64_t d = now - s.last;
-  s.stage[static_cast<std::size_t>(AttrStage::kVcWait)] += d;
-  s.hop_vc_wait = d;
-  s.pending_port = out_port;
-  s.pending_vc = out_vc;
-  add_loc(net, AttrStage::kVcWait, node, out_port, out_vc, d);
-  s.last = now;
+  Live* s = find_live(net, id);
+  if (s == nullptr) return;
+  s->hop_vc_wait =
+      book(net, *s, AttrStage::kVcWait, node, out_port, out_vc, now);
+  s->pending_port = out_port;
+  s->pending_vc = out_vc;
 }
 
 void LatencyAttributor::on_link_depart(std::uint8_t net, PacketId id,
                                        NodeId node, int out_port, Cycle now) {
-  Live* sp = find_live(net, id);
-  if (sp == nullptr) return;
-  Live& s = *sp;
-  const std::uint64_t d = now - s.last;
-  s.stage[static_cast<std::size_t>(AttrStage::kSwWait)] += d;
-  add_loc(net, AttrStage::kSwWait, node, out_port, s.pending_vc, d);
-  WinSums& w = win_cell(window_index(now),
-                        win_key(window_index(now), net, node, out_port,
-                                s.pending_vc, s.type));
-  w.vc_wait += s.hop_vc_wait;
-  w.sw_wait += d;
-  ++w.count;
-  s.last = now;
+  Live* s = find_live(net, id);
+  if (s == nullptr) return;
+  const std::uint64_t d =
+      book(net, *s, AttrStage::kSwWait, node, out_port, s->pending_vc, now);
+  add_window(net, *s, node, out_port, d, now);
 }
 
 void LatencyAttributor::on_eject_start(std::uint8_t net, PacketId id,
                                        NodeId node, Cycle now) {
-  Live* sp = find_live(net, id);
-  if (sp == nullptr) return;
-  Live& s = *sp;
-  const std::uint64_t d = now - s.last;
-  s.stage[static_cast<std::size_t>(AttrStage::kSwWait)] += d;
+  Live* s = find_live(net, id);
+  if (s == nullptr) return;
   // port -1 marks the ejection output (it is not a link).
-  add_loc(net, AttrStage::kSwWait, node, -1, -1, d);
-  WinSums& w = win_cell(window_index(now),
-                        win_key(window_index(now), net, node, -1,
-                                s.pending_vc, s.type));
-  w.vc_wait += s.hop_vc_wait;
-  w.sw_wait += d;
-  ++w.count;
-  s.last = now;
-  s.node = node;
+  const std::uint64_t d =
+      book(net, *s, AttrStage::kSwWait, node, -1, -1, now);
+  add_window(net, *s, node, -1, d, now);
+  s->node = node;
 }
 
 void LatencyAttributor::on_deliver(std::uint8_t net, PacketId id, Cycle now) {
-  Live* sp = find_live(net, id);
-  if (sp == nullptr) return;
-  Live& s = *sp;
-  const std::uint64_t d = now - s.last;
-  s.stage[static_cast<std::size_t>(AttrStage::kEject)] += d;
-  add_loc(net, AttrStage::kEject, s.node, -1, -1, d);
+  Live* s = find_live(net, id);
+  if (s == nullptr) return;
+  book(net, *s, AttrStage::kEject, s->node, -1, -1, now);
 
   PacketAttr a;
   a.pkt = id;
   a.net = net;
-  a.type = s.type;
-  a.src = s.src;
-  a.dest = s.node;
-  a.origin = s.origin;
+  a.type = s->type;
+  a.src = s->src;
+  a.dest = s->node;
+  a.origin = s->origin;
   a.delivered = now;
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < kNumAttrStages; ++i) {
-    a.stage[i] = s.stage[i];
-    sum += s.stage[i];
-    stage_totals_[net][i] += s.stage[i];
+    a.stage[i] = s->stage[i];
+    sum += s->stage[i];
+    stage_totals_[net][i] += s->stage[i];
   }
-  if (sum != now - s.origin) ++violations_;
-  e2e_totals_[net] += now - s.origin;
+  if (sum != now - s->origin) ++violations_;
+  e2e_totals_[net] += now - s->origin;
   ++delivered_net_[net];
   ++delivered_;
-  TypeSums& t = type_sums_[net][static_cast<std::size_t>(s.type)];
+  TypeSums& t = type_sums_[net][static_cast<std::size_t>(s->type)];
   ++t.delivered;
-  t.e2e += now - s.origin;
-  for (std::size_t i = 0; i < kNumAttrStages; ++i) t.stage[i] += s.stage[i];
+  t.e2e += now - s->origin;
+  for (std::size_t i = 0; i < kNumAttrStages; ++i) t.stage[i] += s->stage[i];
 
   // The ring is sized on first use, so an attributor that is never attached
   // holds no packet storage.
@@ -191,16 +180,15 @@ void LatencyAttributor::on_deliver(std::uint8_t net, PacketId id, Cycle now) {
   ring_[ring_head_] = a;
   ring_head_ = ring_head_ + 1 == ring_.size() ? 0 : ring_head_ + 1;
   if (ring_size_ < ring_.size()) ++ring_size_;
-  s.active = false;
+  s->active = false;
   --inflight_;
 }
 
-void LatencyAttributor::on_drop(std::uint8_t net, PacketId id, Cycle now) {
-  (void)now;
-  Live* sp = find_live(net, id);
-  if (sp == nullptr) return;
+void LatencyAttributor::on_drop(std::uint8_t net, PacketId id, Cycle) {
+  Live* s = find_live(net, id);
+  if (s == nullptr) return;
   ++dropped_;
-  sp->active = false;
+  s->active = false;
   --inflight_;
 }
 

@@ -31,9 +31,8 @@
 //  * per-(link, vc, type) time-windowed congestion series for the heatmap
 //    dashboard (attr_html_document()).
 //
-// Like the PacketTracer, components hold a nullable attributor pointer; with
-// none attached every hook is one branch on a null pointer and results are
-// bit-identical to an unattributed run (guarded by tests and perf_harness).
+// It is fed by the per-network PacketObserver (obs/observer.hpp), like the
+// PacketTracer; results are bit-identical to an unattributed run.
 #pragma once
 
 #include <cstdint>
@@ -197,7 +196,7 @@ class LatencyAttributor {
     return has_graph_ ? &graph_ : nullptr;
   }
 
-  // ---- Hook points (called by NI / router / network / fault code) ----
+  // ---- Hook points (called by obs::PacketObserver) ----
   void on_ni_enqueue(std::uint8_t net, PacketId id, PacketType type,
                      NodeId node, Cycle now);
   /// Re-injection of a tracked packet: re-bases the span to the original
@@ -234,9 +233,6 @@ class LatencyAttributor {
   /// Total e2e cycles of delivered packets on `net` (== sum of stage
   /// totals when conservation holds).
   std::uint64_t e2e_total(std::uint8_t net) const { return e2e_totals_[net]; }
-  std::uint64_t delivered_on(std::uint8_t net) const {
-    return delivered_net_[net];
-  }
 
   /// Top-k locations by accumulated stage cycles, both networks merged,
   /// ranked by cycles descending (deterministic tie-break on the key).
@@ -323,6 +319,13 @@ class LatencyAttributor {
 
   void add_loc(std::uint8_t net, AttrStage stage, NodeId node, int port,
                int vc, std::uint64_t cycles);
+  /// Books the cycles since `s`'s last boundary to `stage`, per packet and
+  /// at location (node, port, vc), and moves the boundary to `now`.
+  std::uint64_t book(std::uint8_t net, Live& s, AttrStage stage, NodeId node,
+                     int port, int vc, Cycle now);
+  /// Adds one head departure over (node, port) to the window series.
+  void add_window(std::uint8_t net, const Live& s, NodeId node, int port,
+                  std::uint64_t sw_wait, Cycle now);
   std::string node_label(std::uint8_t net, NodeId node) const;
 
   std::uint32_t window_index(Cycle now) const {

@@ -3,10 +3,9 @@
 // A PacketTracer is a fixed-capacity ring buffer of small binary events
 // covering the whole life of a packet: NI enqueue, VC allocation, router
 // injection, per-hop link traversal, ejection/reassembly, delivery or drop,
-// and the fault-recovery path (corruption, retransmission). Components hold
-// a nullable tracer pointer; with no tracer attached every hook is a single
-// branch on a null pointer, the simulation state is untouched, and results
-// are bit-identical to an untraced run (guarded by tests and a bench).
+// and the fault-recovery path (corruption, retransmission). It is fed by the
+// per-network PacketObserver (obs/observer.hpp); untraced runs are
+// bit-identical to traced ones (guarded by tests and a bench).
 //
 // Exporters:
 //  * to_chrome_json() — Chrome trace-event JSON ("traceEvents" array),
@@ -44,7 +43,7 @@ inline constexpr std::size_t kNumTraceEventKinds = 9;
 
 const char* trace_event_kind_name(TraceEventKind k);
 
-/// One binary trace record. 16 bytes; everything needed to interpret it
+/// One binary trace record. 24 bytes; everything needed to interpret it
 /// without chasing the (recycled) packet arena slot afterwards.
 struct TraceEvent {
   Cycle cycle = 0;

@@ -13,6 +13,7 @@
 #include "core/experiment.hpp"
 #include "core/gpgpu_sim.hpp"
 #include "core/watchdog.hpp"
+#include "obs/attr.hpp"
 #include "obs/regress/baseline.hpp"
 #include "obs/regress/compare.hpp"
 #include "obs/regress/provenance.hpp"
@@ -142,6 +143,27 @@ TEST(DomainSim, TracerForcesIdenticalSerialFallback) {
   const std::string t4 = traced(4, &s4);
   EXPECT_EQ(s1, s4);
   EXPECT_EQ(t1, t4);
+}
+
+TEST(DomainSim, AttributorForcesIdenticalSerialFallback) {
+  // The attributor is the other per-event observer: same fallback, same
+  // attribution report and metrics at any thread count.
+  const auto attributed = [](std::uint32_t threads, Snapshot* snap) {
+    Config cfg = small_config();
+    cfg.threads = threads;
+    const Config resolved = resolve_cell_config(cfg, Scheme::kAdaARI, "bfs");
+    GpgpuSim sim(resolved, *find_benchmark("bfs"));
+    obs::LatencyAttributor attr;
+    sim.attach_attributor(&attr);
+    sim.run_with_warmup();
+    *snap = obs::regress::snapshot_metrics(sim.collect());
+    return attr.to_json();
+  };
+  Snapshot s1, s4;
+  const std::string a1 = attributed(1, &s1);
+  const std::string a4 = attributed(4, &s4);
+  EXPECT_EQ(s1, s4);
+  EXPECT_EQ(a1, a4);
 }
 
 TEST(DomainSim, WatchdogTripDumpBitIdentical) {
